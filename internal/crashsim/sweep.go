@@ -3,10 +3,12 @@ package crashsim
 import (
 	"context"
 	"fmt"
-	"sync"
+	"hash/fnv"
+	"strings"
 
 	"ballista/internal/core"
 	"ballista/internal/osprofile"
+	"ballista/internal/sweep"
 	"ballista/internal/telemetry/span"
 )
 
@@ -77,6 +79,19 @@ func evalOne(w Workload, names []string, oses []osprofile.OS) *wlResult {
 	return r
 }
 
+// sweepID fingerprints the sweep identity so a journal from a different
+// configuration cannot silently poison a resume.
+func sweepID(cfg Config, names []string, oses []osprofile.OS, workloads int) string {
+	h := fnv.New64a()
+	var wire []string
+	for _, o := range oses {
+		wire = append(wire, o.WireName())
+	}
+	fmt.Fprintf(h, "%d|%d|%d|%s|%s|%d",
+		cfg.Seed, cfg.MaxOps, cfg.Budget, strings.Join(names, ","), strings.Join(wire, ","), workloads)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
 // Sweep enumerates the bounded workload set and evaluates every chain
 // across the OS set: per-profile crash-state enumeration, invariant
 // checks, differential comparison.  Findings are deduplicated by
@@ -95,86 +110,34 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 	if maxOps <= 0 {
 		maxOps = 2
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	workloads := Enumerate(names, maxOps, cfg.Seed, cfg.Budget)
-
-	var journal *ckptJournal
-	done := make(map[int]*wlResult)
-	if cfg.Checkpoint != "" {
-		var err error
-		journal, done, err = openJournal(cfg.Checkpoint, cfg, names, oses, len(workloads))
-		if err != nil {
-			return nil, err
-		}
-		defer journal.Close()
-	}
 
 	parent := cfg.Spans.Start("crashsweep",
 		fmt.Sprintf("seed=%d max_ops=%d oses=%d workloads=%d", cfg.Seed, maxOps, len(oses), len(workloads)))
 	defer parent.End()
 
-	results := make([]*wlResult, len(workloads))
-	var todo []int
-	for i := range workloads {
-		if r, ok := done[i]; ok {
-			results[i] = r
-		} else {
-			todo = append(todo, i)
-		}
-	}
-
-	jobs := make(chan int)
-	var mu sync.Mutex // guards results writes and journal appends
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				ws := cfg.Spans.StartSampled("crashwl", workloads[i].Key()).SetParent(parent.ID())
-				r := evalOne(workloads[i], names, oses)
-				ws.End()
-				mu.Lock()
-				results[i] = r
-				if journal != nil {
-					journal.append(i, r)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	var cancelled error
-feed:
-	for _, i := range todo {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			cancelled = ctx.Err()
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if cancelled != nil {
-		return nil, cancelled
-	}
-	if err := ctx.Err(); err != nil {
+	results, err := sweep.Run(ctx, sweep.Job[wlResult]{
+		Kind: "crashsweep", Unit: "workload",
+		ID: sweepID(cfg, names, oses, len(workloads)),
+		N:  len(workloads), Workers: cfg.Workers, Checkpoint: cfg.Checkpoint,
+		Eval: func(i int) *wlResult {
+			ws := cfg.Spans.StartSampled("crashwl", workloads[i].Key()).SetParent(parent.ID())
+			defer ws.End()
+			return evalOne(workloads[i], names, oses)
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
 
-	// Merge in enumeration order: totals, observer events, and findings
-	// deduplicated by signature then minimized (and re-deduplicated —
-	// minimization can collapse distinct chains onto one witness).
+	// Merge in enumeration order: totals, observer events, then the
+	// deduplicated, minimized findings.
 	rep := &Report{Seed: cfg.Seed, MaxOps: maxOps, Names: names, Workloads: len(workloads)}
 	for _, o := range oses {
 		rep.OSes = append(rep.OSes, o.WireName())
 	}
 	obs, _ := cfg.Observer.(core.CrashObserver)
-	seen := make(map[string]bool)
-	var raw []*Finding
+	found := sweep.NewFindings(func(f *Finding) string { return f.Signature })
 	for i, r := range results {
 		rep.CrashPoints += r.CrashPoints
 		rep.States += r.States
@@ -186,10 +149,7 @@ feed:
 			if f.Violating {
 				rep.Violating++
 			}
-			if !seen[f.Signature] {
-				seen[f.Signature] = true
-				raw = append(raw, f)
-			}
+			found.Add(f)
 		}
 		if obs != nil {
 			ev := core.CrashEvent{
@@ -202,14 +162,7 @@ feed:
 			obs.OnCrashDone(ev)
 		}
 	}
-	minSeen := make(map[string]bool)
-	for _, f := range raw {
-		m := Minimize(f, names, oses)
-		if !minSeen[m.Signature] {
-			minSeen[m.Signature] = true
-			rep.Findings = append(rep.Findings, m)
-		}
-	}
+	rep.Findings = found.Minimize(func(f *Finding) *Finding { return Minimize(f, names, oses) })
 	cfg.Spans.Instant("crashsweep", "done",
 		fmt.Sprintf("findings=%d divergent=%d violating=%d states=%d",
 			len(rep.Findings), rep.Divergent, rep.Violating, rep.States))

@@ -45,7 +45,11 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 // TestSweepResumeFromTruncatedJournal simulates a mid-sweep kill: a
 // complete journal is cut down to a prefix plus a torn half-line, and
 // the resumed sweep must skip the tear, re-evaluate only the missing
-// workloads, and produce a byte-identical report.
+// workloads, and produce a byte-identical report.  The resumed sweep
+// must also journal every workload it evaluated: the first record it
+// appends must not fuse onto the torn fragment, so a third sweep on the
+// same journal evaluates nothing and leaves the file byte-identical
+// (every evaluation appends a line).
 func TestSweepResumeFromTruncatedJournal(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "crash.ckpt")
@@ -77,6 +81,61 @@ func TestSweepResumeFromTruncatedJournal(t *testing.T) {
 	}
 	if !bytes.Equal(reportJSON(t, ref), reportJSON(t, resumed)) {
 		t.Error("resumed report is not byte-identical to the uninterrupted run")
+	}
+
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Sweep(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("third sweep re-evaluated %d workloads the resume had already journaled",
+			bytes.Count(after, []byte("\n"))-bytes.Count(before, []byte("\n")))
+	}
+	if !bytes.Equal(reportJSON(t, ref), reportJSON(t, again)) {
+		t.Error("third sweep's report is not byte-identical to the uninterrupted run")
+	}
+}
+
+// TestSweepResumesV1Journal: testdata/v1-journal.jsonl was written by
+// the first journal implementation.  The same sweep journaled today
+// writes identical bytes, and resuming from the old file re-evaluates
+// nothing — it stays unchanged — and reports what a fresh run does.
+func TestSweepResumesV1Journal(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1-journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := Config{Seed: 7, Budget: 12, Workers: 1, Checkpoint: filepath.Join(dir, "fresh.jsonl")}
+	fresh, err := Sweep(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(cfg.Checkpoint); !bytes.Equal(got, v1) {
+		t.Error("a fresh journal differs from the v1 journal of the same sweep")
+	}
+
+	cfg.Checkpoint = filepath.Join(dir, "v1.jsonl")
+	if err := os.WriteFile(cfg.Checkpoint, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Sweep(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(cfg.Checkpoint); !bytes.Equal(got, v1) {
+		t.Error("resuming from the v1 journal re-evaluated workloads")
+	}
+	if !bytes.Equal(reportJSON(t, fresh), reportJSON(t, resumed)) {
+		t.Error("report resumed from the v1 journal differs from a fresh run")
 	}
 }
 

@@ -120,6 +120,43 @@ func TestCheckpointIdentityMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumesV1Journal: testdata/v1-journal.jsonl was written
+// by the first journal implementation.  The same campaign journaled
+// today writes identical bytes, and resuming from the old file
+// re-executes no candidate — it stays unchanged — and reports what a
+// fresh run does.
+func TestCheckpointResumesV1Journal(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1-journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := ballista.ExploreConfig{Primary: ballista.Win98, Seed: 7, Budget: 40, Workers: 1,
+		Checkpoint: filepath.Join(dir, "fresh.jsonl")}
+	fresh, err := ballista.Explore(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(cfg.Checkpoint); string(got) != string(v1) {
+		t.Error("a fresh journal differs from the v1 journal of the same campaign")
+	}
+
+	cfg.Checkpoint = filepath.Join(dir, "v1.jsonl")
+	if err := os.WriteFile(cfg.Checkpoint, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := ballista.Explore(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(cfg.Checkpoint); string(got) != string(v1) {
+		t.Error("resuming from the v1 journal re-executed candidates")
+	}
+	if string(mustMarshal(t, fresh)) != string(mustMarshal(t, resumed)) {
+		t.Error("report resumed from the v1 journal differs from a fresh run")
+	}
+}
+
 // TestReproducersReplay: the minimized reproducer documents must survive
 // a marshal/parse round trip and verify against a live replay.
 func TestReproducersReplay(t *testing.T) {

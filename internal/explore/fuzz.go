@@ -8,13 +8,13 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"ballista/internal/catalog"
 	"ballista/internal/chaos"
 	"ballista/internal/core"
+	"ballista/internal/journal"
 	"ballista/internal/osprofile"
+	"ballista/internal/sweep"
 	"ballista/internal/telemetry/span"
 )
 
@@ -524,7 +524,7 @@ func (f *Fuzzer) Run(ctx context.Context) (*Report, error) {
 	seeds := f.seeds()
 	S := len(seeds)
 
-	var jnl *ckptWriter
+	var jnl *journal.Journal
 	if f.cfg.Checkpoint != "" {
 		recs, err := loadCheckpoint(f.cfg.Checkpoint, f.identity())
 		if err != nil {
@@ -540,14 +540,15 @@ func (f *Fuzzer) Run(ctx context.Context) (*Report, error) {
 		for _, rec := range recs[:keep] {
 			st.mergeRecord(rec)
 		}
-		jnl, err = openCkpt(f.cfg.Checkpoint, f.identity())
+		jnl, err = journal.Open(f.cfg.Checkpoint, f.identity())
 		if err != nil {
 			return nil, err
 		}
+		var inj *chaos.Injector
 		if f.cfg.Chaos != nil {
-			jnl.inj = f.cfg.Chaos.NewInjector(f.cfg.ChaosStats)
+			inj = f.cfg.Chaos.NewInjector(f.cfg.ChaosStats)
 		}
-		jnl.stats = f.cfg.ChaosStats
+		jnl.Arm(inj, f.cfg.ChaosStats, "explore")
 		defer jnl.Close()
 	}
 
@@ -612,42 +613,13 @@ func (f *Fuzzer) evalBatch(ctx context.Context, batch []Chain) ([]outcome, error
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(batch) {
-		workers = len(batch)
-	}
 	outs := make([]outcome, len(batch))
-	if workers <= 1 {
-		for i, ch := range batch {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			outs[i] = f.eval(ch)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(batch) || ctx.Err() != nil {
-						return
-					}
-					outs[i] = f.eval(batch[i])
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	for _, out := range outs {
-		if out.err != nil {
-			return nil, out.err
-		}
+	err := sweep.Each(ctx, len(batch), workers, func(i int) error {
+		outs[i] = f.eval(batch[i])
+		return outs[i].err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return outs, nil
 }
@@ -655,7 +627,7 @@ func (f *Fuzzer) evalBatch(ctx context.Context, batch []Chain) ([]outcome, error
 // merge folds one live outcome into the state, journals it, and fires
 // the chain observer — all from the single merge goroutine, so events
 // and checkpoint lines are in deterministic candidate order.
-func (f *Fuzzer) merge(st *runState, out outcome, jnl *ckptWriter) error {
+func (f *Fuzzer) merge(st *runState, out outcome, jnl *journal.Journal) error {
 	sig, divergent, catastrophic := f.signature(out.classes)
 	rec := ckptChain{
 		Type: "chain", N: st.executed, Chain: out.chain, FP: out.fp.String(),
@@ -668,7 +640,7 @@ func (f *Fuzzer) merge(st *runState, out outcome, jnl *ckptWriter) error {
 	}
 	st.mergeRecord(rec)
 	if jnl != nil {
-		if err := jnl.append(rec); err != nil {
+		if err := jnl.Append(rec); err != nil {
 			return fmt.Errorf("explore: checkpointing chain %d: %w", rec.N, err)
 		}
 	}

@@ -1,17 +1,12 @@
 package farm
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
-	"sync"
-	"time"
 
 	"ballista/internal/chaos"
 	"ballista/internal/core"
+	"ballista/internal/journal"
 )
 
 // journalVersion is the checkpoint schema version.
@@ -46,167 +41,89 @@ func encodeFlags(fs []bool) string { return core.PackFlags(fs) }
 
 func decodeFlags(s string) []bool { return core.UnpackFlags(s) }
 
-// Journal appends completed-shard records to a checkpoint file,
-// serialized across writers and fsynced per record so a kill at any
-// instant loses at most the shard in flight — never a half-written
-// record that poisons the lines after it.  The farm journals its own
-// workers' completions; the fleet coordinator journals uploads through
-// the same machinery, which is what makes a killed coordinator resumable.
+// Journal appends completed-shard records to a checkpoint file with the
+// internal/journal durability contract, so a kill at any instant loses
+// at most the shard in flight.  The farm journals its own workers'
+// completions; the fleet coordinator journals uploads through the same
+// type, which is what makes a killed coordinator resumable.
 type Journal struct {
-	mu    sync.Mutex
-	f     *os.File
-	site  string
-	inj   *chaos.Injector // harness-domain fault session; nil when chaos is off
-	stats *chaos.Stats
+	j    *journal.Journal
+	site string
 }
-
-// Append retry schedule: transient write faults (injected or real) back
-// off briefly and retry; six attempts cover any transient plan.
-const (
-	appendAttempts = 6
-	backoffBase    = time.Millisecond
-	backoffMax     = 20 * time.Millisecond
-)
 
 // OpenJournal opens (or creates) a checkpoint journal for appending.
 // site labels the harness-domain chaos decision point consulted before
 // each write: "farm" for in-process campaigns, "fleet" for the
 // coordinator's lease journal.
 func OpenJournal(path, site string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j, err := journal.Open(path, nil)
 	if err != nil {
 		return nil, fmt.Errorf("farm: opening checkpoint: %w", err)
 	}
-	return &Journal{f: f, site: site}, nil
+	return &Journal{j: j, site: site}, nil
 }
 
 // SetChaos arms harness-domain fault injection on subsequent appends.
 func (j *Journal) SetChaos(inj *chaos.Injector, stats *chaos.Stats) {
-	j.inj = inj
-	j.stats = stats
+	j.j.Arm(inj, stats, j.site)
 }
 
 // Append journals one completed shard.
 func (j *Journal) Append(osName string, cap int, d ShardDesc, r ShardResult, worker int, stolen bool) error {
-	return j.append(journalRecord{
+	return j.j.Append(journalRecord{
 		V: journalVersion, OS: osName, Cap: cap,
 		ShardDesc: d, ShardResult: r,
 		Worker: worker, Stolen: stolen,
 	})
 }
 
-func (j *Journal) append(rec journalRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("farm: encoding checkpoint record: %w", err)
-	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var last error
-	for attempt := 0; attempt < appendAttempts; attempt++ {
-		if attempt > 0 {
-			j.stats.AddRetried()
-			d := backoffBase << (attempt - 1)
-			if d > backoffMax {
-				d = backoffMax
-			}
-			time.Sleep(d)
-		}
-		if err := j.writeLine(line); err != nil {
-			last = err
-			continue
-		}
-		return nil
-	}
-	return last
-}
-
-// writeLine performs one append attempt: injected faults first (the
-// chaos harness domain, at the journal's site), then the real write,
-// then fsync so the record survives a kill the instant append returns.
-// Torn writes — injected or real — are newline-terminated so the journal
-// stays line-structured: the loader skips the bad line and a retry
-// appends a clean record after it.
-func (j *Journal) writeLine(line []byte) error {
-	if flt, ok := j.inj.Fault(chaos.OpCkptWrite, j.site); ok {
-		if flt.Kind == chaos.KindShort {
-			torn := append([]byte(nil), line[:len(line)/2]...)
-			j.f.Write(append(torn, '\n'))
-		}
-		return chaos.ErrInjected
-	}
-	n, err := j.f.Write(line)
-	if err != nil {
-		if n > 0 && line[n-1] != '\n' {
-			j.f.Write([]byte{'\n'})
-		}
-		return err
-	}
-	return j.f.Sync()
-}
-
 // Close closes the underlying file.
-func (j *Journal) Close() error { return j.f.Close() }
+func (j *Journal) Close() error { return j.j.Close() }
 
 // LoadJournal replays a checkpoint file against a campaign's shard list
-// and returns completed results keyed by shard index.  Records are
-// validated against the campaign identity (OS, cap, shard index, MuT
-// name, wide flag) — resuming a stale journal against a different
-// campaign is an error, not silent corruption.  Records are independent,
-// so a torn line anywhere (the write a kill or an injected disk fault
-// interrupted, always newline-terminated by the writer) is skipped and
-// the replay continues; a duplicate shard record keeps the last
-// occurrence.
+// and returns completed results keyed by shard index (nil for a missing
+// file).  Records are validated against the campaign identity (OS, cap,
+// shard index, MuT name, wide flag) — resuming a stale journal against a
+// different campaign is an error, not silent corruption.  Records are
+// independent, so a torn line anywhere is skipped and the replay
+// continues; a duplicate shard record keeps the last occurrence.
 func LoadJournal(path string, osName string, cap int, descs []ShardDesc) (map[int]ShardResult, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil // fresh campaign: the journal will be created
-	}
-	if err != nil {
-		return nil, fmt.Errorf("farm: reading checkpoint: %w", err)
-	}
-	defer f.Close()
-
-	done := make(map[int]ShardResult)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	var done map[int]ShardResult
+	err := journal.Replay(path, func(line []byte) error {
 		var rec journalRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			// A torn write; every complete record stands on its own.
-			continue
+			return nil // a torn write; every complete record stands on its own
 		}
 		if rec.V != journalVersion {
-			return nil, fmt.Errorf("farm: checkpoint version %d (want %d)", rec.V, journalVersion)
+			return fmt.Errorf("farm: checkpoint version %d (want %d)", rec.V, journalVersion)
 		}
 		if rec.OS != osName || rec.Cap != cap {
-			return nil, fmt.Errorf("farm: checkpoint is for os=%s cap=%d, campaign is os=%s cap=%d",
+			return fmt.Errorf("farm: checkpoint is for os=%s cap=%d, campaign is os=%s cap=%d",
 				rec.OS, rec.Cap, osName, cap)
 		}
 		if rec.Index < 0 || rec.Index >= len(descs) {
-			return nil, fmt.Errorf("farm: checkpoint shard %d out of range (catalog has %d)", rec.Index, len(descs))
+			return fmt.Errorf("farm: checkpoint shard %d out of range (catalog has %d)", rec.Index, len(descs))
 		}
 		d := descs[rec.Index]
 		if d.MuT != rec.MuT || d.Wide != rec.Wide {
-			return nil, fmt.Errorf("farm: checkpoint shard %d is %s (wide=%v), catalog has %s (wide=%v)",
+			return fmt.Errorf("farm: checkpoint shard %d is %s (wide=%v), catalog has %s (wide=%v)",
 				rec.Index, rec.MuT, rec.Wide, d.MuT, d.Wide)
 		}
 		if _, err := decodeClasses(rec.Classes); err != nil {
-			return nil, err
+			return err
 		}
 		if len(rec.Exceptional) != len(rec.Classes) {
-			return nil, fmt.Errorf("farm: checkpoint shard %d has %d classes but %d exceptional flags",
+			return fmt.Errorf("farm: checkpoint shard %d has %d classes but %d exceptional flags",
 				rec.Index, len(rec.Classes), len(rec.Exceptional))
 		}
+		if done == nil {
+			done = make(map[int]ShardResult)
+		}
 		done[rec.Index] = rec.ShardResult
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("farm: reading checkpoint: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return done, nil
 }

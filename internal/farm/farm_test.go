@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -181,6 +182,47 @@ func TestFarmCheckpointCompleteRerun(t *testing.T) {
 		t.Errorf("replay executed %d shards, want 0 (all journaled)", shards)
 	}
 	sameOSResult(t, "replay vs fresh", fresh, replay)
+}
+
+// TestFarmCheckpointResumesV1Journal: testdata/v1-journal.jsonl was
+// written by the first journal implementation.  The same campaign
+// journaled today writes identical bytes, and resuming from the old
+// file executes no shard, leaves it unchanged, and merges the result a
+// fresh run does.
+func TestFarmCheckpointResumesV1Journal(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1-journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func(ckpt string, opts ...ballista.Option) *core.OSResult {
+		t.Helper()
+		opts = append(opts, ballista.WithCap(1))
+		res, err := ballista.RunFarm(context.Background(), ballista.Linux,
+			ballista.FarmConfig{Workers: 1, Checkpoint: ckpt}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	fresh := run(filepath.Join(dir, "fresh.jsonl"))
+	if got, _ := os.ReadFile(filepath.Join(dir, "fresh.jsonl")); !bytes.Equal(got, v1) {
+		t.Error("a fresh journal differs from the v1 journal of the same campaign")
+	}
+
+	ckpt := filepath.Join(dir, "v1.jsonl")
+	if err := os.WriteFile(ckpt, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	counter := &shardCounter{}
+	resumed := run(ckpt, ballista.WithObserver(counter))
+	if shards, _ := counter.counts(); shards != 0 {
+		t.Errorf("resuming from the v1 journal executed %d shards, want 0", shards)
+	}
+	if got, _ := os.ReadFile(ckpt); !bytes.Equal(got, v1) {
+		t.Error("resuming from the v1 journal changed it")
+	}
+	sameOSResult(t, "v1 resume vs fresh", fresh, resumed)
 }
 
 // TestFarmCheckpointMismatch: resuming a journal against a different

@@ -250,6 +250,10 @@ func TestSweepDedupeAcrossEnvs(t *testing.T) {
 
 // TestSweepCheckpointResume: a journaled sweep resumes without
 // re-evaluating a single item, and the resumed report is identical.
+// After a kill leaves a torn half-line at the tail, the resumed sweep
+// must journal every item it re-evaluates — its first record must not
+// fuse onto the fragment — so the sweep after it evaluates nothing and
+// leaves the journal byte-identical.
 func TestSweepCheckpointResume(t *testing.T) {
 	deps := testDeps()
 	envs := []Env{fdFull(), handleFull()}
@@ -263,11 +267,87 @@ func TestSweepCheckpointResume(t *testing.T) {
 	}
 	refJSON, _ := json.Marshal(ref)
 
-	// Resume with a substrate that refuses to run anything: every item
-	// must come from the journal.  (Minimization re-probes single-axis
-	// environments via Split, which is a no-op here.)
+	// resumeFromJournal sweeps with a substrate that counts probes: an
+	// item that comes from the journal runs none.  (Minimization
+	// re-probes single-axis environments via Split, which is a no-op
+	// here.)
+	resumeFromJournal := func(t *testing.T) (calls int) {
+		t.Helper()
+		counting := &Deps{
+			NewRunner: func(o osprofile.OS) *core.Runner {
+				calls++
+				return deps.NewRunner(o)
+			},
+			MuTs:     deps.MuTs,
+			Registry: deps.Registry,
+		}
+		cfg := sweepCfg(counting, envs)
+		cfg.Checkpoint = path
+		got, err := Sweep(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotJSON, _ := json.Marshal(got); string(gotJSON) != string(refJSON) {
+			t.Error("resumed report differs from original")
+		}
+		return calls
+	}
+	if calls := resumeFromJournal(t); calls != 0 {
+		t.Errorf("resume re-evaluated %d probes, want 0", calls)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+	if len(lines) != ref.Items+1 {
+		t.Fatalf("journal has %d lines, want header + %d", len(lines), ref.Items)
+	}
+	half := 1 + ref.Items/2
+	torn := strings.Join(lines[:half], "\n") + "\n" + lines[half][:len(lines[half])/2]
+	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if calls := resumeFromJournal(t); calls == 0 {
+		t.Fatal("resume from a truncated journal re-evaluated nothing")
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls := resumeFromJournal(t); calls != 0 {
+		t.Errorf("sweep after the torn-tail resume re-evaluated %d probes, want 0", calls)
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(before) {
+		t.Error("sweep after the torn-tail resume changed the journal")
+	}
+}
+
+// TestSweepResumesV1Journal: testdata/v1-journal.jsonl was written by
+// the first journal implementation.  The same sweep journaled today
+// writes identical bytes, and resuming from the old file probes nothing,
+// leaves it unchanged, and reports what a fresh run does.
+func TestSweepResumesV1Journal(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1-journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deps := testDeps()
+	envs := []Env{fdFull(), handleFull()}
+	dir := t.TempDir()
+	cfg := sweepCfg(deps, envs)
+	cfg.Checkpoint = filepath.Join(dir, "fresh.jsonl")
+	fresh, err := Sweep(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(cfg.Checkpoint); string(got) != string(v1) {
+		t.Error("a fresh journal differs from the v1 journal of the same sweep")
+	}
+
 	calls := 0
-	resumeDeps := &Deps{
+	counting := &Deps{
 		NewRunner: func(o osprofile.OS) *core.Runner {
 			calls++
 			return deps.NewRunner(o)
@@ -275,18 +355,25 @@ func TestSweepCheckpointResume(t *testing.T) {
 		MuTs:     deps.MuTs,
 		Registry: deps.Registry,
 	}
-	cfg2 := sweepCfg(resumeDeps, envs)
-	cfg2.Checkpoint = path
-	got, err := Sweep(context.Background(), cfg2)
+	cfg = sweepCfg(counting, envs)
+	cfg.Checkpoint = filepath.Join(dir, "v1.jsonl")
+	if err := os.WriteFile(cfg.Checkpoint, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Sweep(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {
-		t.Errorf("resume re-evaluated %d probes, want 0", calls)
+		t.Errorf("resuming from the v1 journal ran %d probes, want 0", calls)
 	}
-	gotJSON, _ := json.Marshal(got)
-	if string(gotJSON) != string(refJSON) {
-		t.Error("resumed report differs from original")
+	if got, _ := os.ReadFile(cfg.Checkpoint); string(got) != string(v1) {
+		t.Error("resuming from the v1 journal changed it")
+	}
+	freshJSON, _ := json.Marshal(fresh)
+	resumedJSON, _ := json.Marshal(resumed)
+	if string(freshJSON) != string(resumedJSON) {
+		t.Error("report resumed from the v1 journal differs from a fresh run")
 	}
 }
 

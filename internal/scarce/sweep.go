@@ -3,11 +3,13 @@ package scarce
 import (
 	"context"
 	"fmt"
-	"sync"
+	"hash/fnv"
+	"strings"
 
 	"ballista/internal/catalog"
 	"ballista/internal/core"
 	"ballista/internal/osprofile"
+	"ballista/internal/sweep"
 	"ballista/internal/telemetry/span"
 )
 
@@ -98,6 +100,22 @@ func enumerate(deps *Deps, envs []Env, oses []osprofile.OS, budget int) ([]item,
 	return items, len(order)
 }
 
+// sweepID fingerprints the sweep identity so a journal from a different
+// configuration cannot silently poison a resume.
+func sweepID(cfg Config, envs []Env, oses []osprofile.OS, items int) string {
+	h := fnv.New64a()
+	var wire, keys []string
+	for _, o := range oses {
+		wire = append(wire, o.WireName())
+	}
+	for _, e := range envs {
+		keys = append(keys, e.Key())
+	}
+	fmt.Fprintf(h, "%d|%d|%s|%s|%d",
+		cfg.Seed, cfg.Budget, strings.Join(keys, ";"), strings.Join(wire, ","), items)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
 // Sweep runs every catalog MuT inside every scarcity environment across
 // the OS set and applies the three scarce oracles: CRASH severity under
 // scarcity, graceful degradation, and error-path resource leaks.
@@ -116,82 +134,30 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 	if len(envs) == 0 {
 		envs = DefaultEnvs()
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	items, muts := enumerate(cfg.Deps, envs, oses, cfg.Budget)
-
-	var journal *ckptJournal
-	done := make(map[int]*itemResult)
-	if cfg.Checkpoint != "" {
-		var err error
-		journal, done, err = openJournal(cfg.Checkpoint, cfg, envs, oses, len(items))
-		if err != nil {
-			return nil, err
-		}
-		defer journal.Close()
-	}
 
 	parent := cfg.Spans.Start("scarcesweep",
 		fmt.Sprintf("seed=%d envs=%d oses=%d muts=%d items=%d", cfg.Seed, len(envs), len(oses), muts, len(items)))
 	defer parent.End()
 
-	results := make([]*itemResult, len(items))
-	var todo []int
-	for i := range items {
-		if r, ok := done[i]; ok {
-			results[i] = r
-		} else {
-			todo = append(todo, i)
-		}
-	}
-
-	jobs := make(chan int)
-	var mu sync.Mutex // guards results writes and journal appends
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				it := items[i]
-				is := cfg.Spans.StartSampled("scarceitem",
-					fmt.Sprintf("%s %s env=%s", it.m.API, it.m.Name, it.env.Name)).SetParent(parent.ID())
-				r := evalItem(cfg.Deps, it.env, it.m, it.oses, cfg.Seed)
-				is.End()
-				mu.Lock()
-				results[i] = r
-				if journal != nil {
-					journal.append(i, r)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	var cancelled error
-feed:
-	for _, i := range todo {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			cancelled = ctx.Err()
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if cancelled != nil {
-		return nil, cancelled
-	}
-	if err := ctx.Err(); err != nil {
+	results, err := sweep.Run(ctx, sweep.Job[itemResult]{
+		Kind: "scarcesweep", Unit: "item",
+		ID: sweepID(cfg, envs, oses, len(items)),
+		N:  len(items), Workers: cfg.Workers, Checkpoint: cfg.Checkpoint,
+		Eval: func(i int) *itemResult {
+			it := items[i]
+			is := cfg.Spans.StartSampled("scarceitem",
+				fmt.Sprintf("%s %s env=%s", it.m.API, it.m.Name, it.env.Name)).SetParent(parent.ID())
+			defer is.End()
+			return evalItem(cfg.Deps, it.env, it.m, it.oses, cfg.Seed)
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
 
-	// Merge in enumeration order: totals, observer events, and findings
-	// deduplicated by signature then minimized (and re-deduplicated —
-	// minimizing composite environments can collapse distinct findings
-	// onto one single-axis witness).
+	// Merge in enumeration order: totals, observer events, then the
+	// deduplicated findings minimized to single-axis environments.
 	rep := &Report{Seed: cfg.Seed, MuTs: muts, Items: len(items)}
 	for _, o := range oses {
 		rep.OSes = append(rep.OSes, o.WireName())
@@ -200,8 +166,7 @@ feed:
 		rep.Envs = append(rep.Envs, e.Name)
 	}
 	obs, _ := cfg.Observer.(core.ScarceObserver)
-	seen := make(map[string]bool)
-	var raw []*Finding
+	found := sweep.NewFindings(func(f *Finding) string { return f.Signature })
 	for i, r := range results {
 		rep.Probes += r.Probes
 		rep.Crashed += r.Crashed
@@ -215,10 +180,7 @@ feed:
 			if f.Violating {
 				rep.Violating++
 			}
-			if !seen[f.Signature] {
-				seen[f.Signature] = true
-				raw = append(raw, f)
-			}
+			found.Add(f)
 		}
 		if obs != nil {
 			it := items[i]
@@ -237,14 +199,7 @@ feed:
 			obs.OnScarceDone(ev)
 		}
 	}
-	minSeen := make(map[string]bool)
-	for _, f := range raw {
-		m := Minimize(f, cfg.Deps, oses, cfg.Seed)
-		if !minSeen[m.Signature] {
-			minSeen[m.Signature] = true
-			rep.Findings = append(rep.Findings, m)
-		}
-	}
+	rep.Findings = found.Minimize(func(f *Finding) *Finding { return Minimize(f, cfg.Deps, oses, cfg.Seed) })
 	cfg.Spans.Instant("scarcesweep", "done",
 		fmt.Sprintf("findings=%d divergent=%d violating=%d probes=%d",
 			len(rep.Findings), rep.Divergent, rep.Violating, rep.Probes))

@@ -10,20 +10,18 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"time"
 
 	"ballista"
 	"ballista/internal/core"
 	"ballista/internal/fleet"
+	"ballista/internal/journal"
 	"ballista/internal/osprofile"
 	"ballista/internal/report"
 	"ballista/internal/telemetry"
@@ -378,12 +376,11 @@ type queueRecord struct {
 }
 
 // QueueJournal is the campaign queue's persistence: an append-only
-// JSONL file with the checkpoint journals' durability contract (fsync
-// per record, torn tail lines skipped on replay).  Open it with
-// OpenQueueJournal and hand it to the server via WithQueueJournal.
+// JSONL file kept by internal/journal (fsync per record, torn lines
+// skipped on replay).  Open it with OpenQueueJournal and hand it to the
+// server via WithQueueJournal.
 type QueueJournal struct {
-	mu      sync.Mutex
-	f       *os.File
+	j       *journal.Journal
 	records []queueRecord
 }
 
@@ -391,70 +388,33 @@ type QueueJournal struct {
 // queue) and opens it for appending.
 func OpenQueueJournal(path string) (*QueueJournal, error) {
 	qj := &QueueJournal{}
-	if err := qj.replay(path); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("queue: opening journal: %w", err)
-	}
-	qj.f = f
-	return qj, nil
-}
-
-func (qj *QueueJournal) replay(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("queue: reading journal: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	err := journal.Replay(path, func(line []byte) error {
 		var rec queueRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // torn write; every complete record stands on its own
+			return nil // torn write; every complete record stands on its own
 		}
 		if rec.V != queueJournalVersion {
 			return fmt.Errorf("queue: journal version %d (want %d)", rec.V, queueJournalVersion)
 		}
 		qj.records = append(qj.records, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil && !errors.Is(err, io.EOF) {
-		return fmt.Errorf("queue: reading journal: %w", err)
+	if qj.j, err = journal.Open(path, nil); err != nil {
+		return nil, err
 	}
-	return nil
+	return qj, nil
 }
 
-// append journals one record, fsynced; a torn write is
-// newline-terminated so the replay skips exactly one line.
+// append journals one record durably.
 func (qj *QueueJournal) append(rec queueRecord) error {
 	if qj == nil {
 		return nil
 	}
 	rec.V = queueJournalVersion
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("queue: encoding journal record: %w", err)
-	}
-	line = append(line, '\n')
-	qj.mu.Lock()
-	defer qj.mu.Unlock()
-	n, werr := qj.f.Write(line)
-	if werr != nil {
-		if n > 0 && line[n-1] != '\n' {
-			qj.f.Write([]byte{'\n'})
-		}
-		return werr
-	}
-	return qj.f.Sync()
+	return qj.j.Append(rec)
 }
 
 // Close closes the journal file.
@@ -462,7 +422,7 @@ func (qj *QueueJournal) Close() error {
 	if qj == nil {
 		return nil
 	}
-	return qj.f.Close()
+	return qj.j.Close()
 }
 
 // ---- server integration ----

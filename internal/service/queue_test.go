@@ -388,7 +388,8 @@ func TestQueueJournalResume(t *testing.T) {
 
 	// An unfinished submission (journaled, never terminal) re-enqueues
 	// and runs to completion on the next server.
-	qj3, err := OpenQueueJournal(filepath.Join(t.TempDir(), "pending.jsonl"))
+	pending := filepath.Join(t.TempDir(), "pending.jsonl")
+	qj3, err := OpenQueueJournal(pending)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +403,7 @@ func TestQueueJournalResume(t *testing.T) {
 	if err := qj3.Close(); err != nil {
 		t.Fatal(err)
 	}
-	qj4, err := OpenQueueJournal(qj3name(qj3, t))
+	qj4, err := OpenQueueJournal(pending)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,13 +417,6 @@ func TestQueueJournalResume(t *testing.T) {
 	if resumed.State != StateDone || resumed.Result == nil {
 		t.Fatalf("resumed campaign = %+v (err %q)", resumed.CampaignSummary, resumed.Error)
 	}
-}
-
-// qj3name recovers the journal path from the handle (the file is closed
-// but its name persists).
-func qj3name(qj *QueueJournal, t *testing.T) string {
-	t.Helper()
-	return qj.f.Name()
 }
 
 // TestStatusEndpoint checks the server identity surface: a code-version

@@ -1,19 +1,14 @@
-// On-disk segment: a JSONL append log with the checkpoint journals'
-// durability contract.  Every record is fsynced before Put returns, a
-// short write is newline-terminated so the tail stays line-structured,
-// and the loader skips any line that does not parse or validate — a
-// kill at any instant loses at most the entry in flight.
+// On-disk segment: a JSONL append log kept by internal/journal, so every
+// record is fsynced before Put returns and a torn line is
+// newline-terminated.  The loader skips any line that does not parse or
+// validate — a kill at any instant loses at most the entry in flight.
 package store
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
-	"sync"
-	"time"
+
+	"ballista/internal/journal"
 )
 
 // segmentVersion is the on-disk schema version.
@@ -26,146 +21,26 @@ type segRecord struct {
 	Entry
 }
 
-// Append retry schedule, matching the checkpoint journal: transient
-// write failures back off briefly and retry.
-const (
-	segAppendAttempts = 6
-	segBackoffBase    = time.Millisecond
-	segBackoffMax     = 20 * time.Millisecond
-)
-
-// segment is the append handle plus its writer lock.
-type segment struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
 // openSegment replays an existing segment file through load (one call
 // per valid record; later records for the same key win via the memory
 // tier's upsert) and opens it for appending.  A missing file means a
 // fresh cache.
-func openSegment(path string, load func(Key, Entry)) (*segment, error) {
-	if err := replaySegment(path, load); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: opening segment: %w", err)
-	}
-	sg := &segment{f: f}
-	if err := sg.terminateTornTail(path); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return sg, nil
-}
-
-// terminateTornTail newline-terminates a segment whose last record was
-// torn by a crash mid-write, so the next append starts a fresh line
-// instead of concatenating onto (and corrupting itself with) the stub.
-func (sg *segment) terminateTornTail(path string) error {
-	st, err := sg.f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: inspecting segment: %w", err)
-	}
-	if st.Size() == 0 {
-		return nil
-	}
-	r, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("store: inspecting segment: %w", err)
-	}
-	defer r.Close()
-	tail := make([]byte, 1)
-	if _, err := r.ReadAt(tail, st.Size()-1); err != nil {
-		return fmt.Errorf("store: inspecting segment: %w", err)
-	}
-	if tail[0] == '\n' {
-		return nil
-	}
-	if _, err := sg.f.Write([]byte{'\n'}); err != nil {
-		return fmt.Errorf("store: terminating torn tail: %w", err)
-	}
-	return sg.f.Sync()
-}
-
-func replaySegment(path string, load func(Key, Entry)) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: reading segment: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+func openSegment(path string, load func(Key, Entry)) (*journal.Journal, error) {
+	err := journal.Replay(path, func(line []byte) error {
 		var rec segRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // torn write; every complete record stands on its own
+			return nil // torn write; every complete record stands on its own
 		}
 		if rec.V != segmentVersion {
 			return fmt.Errorf("store: segment version %d (want %d)", rec.V, segmentVersion)
 		}
-		k, err := ParseKey(rec.Key)
-		if err != nil {
-			continue
-		}
-		if rec.Entry.check() != nil {
-			continue
-		}
-		load(k, rec.Entry)
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, io.EOF) {
-		return fmt.Errorf("store: reading segment: %w", err)
-	}
-	return nil
-}
-
-// append journals one entry, fsynced, with the journal retry schedule.
-func (sg *segment) append(k Key, e Entry) error {
-	line, err := json.Marshal(segRecord{V: segmentVersion, Key: k.String(), Entry: e})
-	if err != nil {
-		return fmt.Errorf("store: encoding segment record: %w", err)
-	}
-	line = append(line, '\n')
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
-	var last error
-	for attempt := 0; attempt < segAppendAttempts; attempt++ {
-		if attempt > 0 {
-			d := segBackoffBase << (attempt - 1)
-			if d > segBackoffMax {
-				d = segBackoffMax
-			}
-			time.Sleep(d)
-		}
-		if err := sg.writeLine(line); err != nil {
-			last = err
-			continue
+		if k, err := ParseKey(rec.Key); err == nil && rec.Entry.check() == nil {
+			load(k, rec.Entry)
 		}
 		return nil
-	}
-	return last
-}
-
-// writeLine performs one append attempt: the real write, with a torn
-// write newline-terminated so the loader skips exactly one line, then
-// fsync so the record survives a kill the instant append returns.
-func (sg *segment) writeLine(line []byte) error {
-	n, err := sg.f.Write(line)
+	})
 	if err != nil {
-		if n > 0 && line[n-1] != '\n' {
-			sg.f.Write([]byte{'\n'})
-		}
-		return err
+		return nil, err
 	}
-	return sg.f.Sync()
+	return journal.Open(path, nil)
 }
-
-func (sg *segment) close() error { return sg.f.Close() }

@@ -8,8 +8,8 @@
 //
 // The in-memory tier is a sharded map with a bounded size and LRU
 // eviction per shard.  An optional on-disk segment (see segment.go)
-// persists entries across processes with the same torn-tail tolerance
-// as the checkpoint journals.
+// persists entries across processes through internal/journal, the log
+// behind the checkpoint journals.
 package store
 
 import (
@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"ballista/internal/journal"
 )
 
 // Key is a content address: sha256 over the canonical JSON encoding of
@@ -121,7 +123,7 @@ type Store struct {
 	puts      atomic.Uint64
 	evictions atomic.Uint64
 
-	seg *segment // nil when the cache is memory-only
+	seg *journal.Journal // nil when the cache is memory-only
 }
 
 // shard is one LRU-bounded slice of the key space.  The recency list is
@@ -141,8 +143,7 @@ type node struct {
 }
 
 // Open creates a store.  When o.Path is set the segment is loaded
-// (torn tail lines skipped, like the checkpoint journals) and opened
-// for appending; Close releases it.
+// (torn lines skipped) and opened for appending; Close releases it.
 func Open(o Options) (*Store, error) {
 	max := o.MaxEntries
 	if max <= 0 {
@@ -202,7 +203,7 @@ func (s *Store) Put(k Key, e Entry) error {
 	s.insert(k, e)
 	s.puts.Add(1)
 	if s.seg != nil {
-		return s.seg.append(k, e)
+		return s.seg.Append(segRecord{V: segmentVersion, Key: k.String(), Entry: e})
 	}
 	return nil
 }
@@ -269,7 +270,7 @@ func (s *Store) Close() error {
 	if s == nil || s.seg == nil {
 		return nil
 	}
-	return s.seg.close()
+	return s.seg.Close()
 }
 
 // push links n at the head (most recently used).
