@@ -125,38 +125,51 @@ func New(clock func() uint64) *FileSystem {
 	return &FileSystem{root: root, clock: clock}
 }
 
-// Split normalizes a path into components.  It strips a drive prefix and
-// treats '/' and '\' identically.  An empty path or one containing NUL is
-// invalid.
+// Split normalizes a path into components.  It strips a drive prefix,
+// treats '/' and '\' identically, drops empty and "." components and
+// resolves ".." lexically (never above the root).  An empty path or one
+// containing NUL is invalid.  The returned components are substrings of
+// path.
 func Split(path string) ([]string, error) {
-	if path == "" || strings.ContainsRune(path, 0) {
+	return splitInto(nil, path)
+}
+
+// maxInlineDepth sizes the stack buffer lookups walk paths into; deeper
+// paths still work, spilling to the heap.
+const maxInlineDepth = 16
+
+// splitInto is Split appending to dst, so callers can walk a path into a
+// stack buffer without allocating.
+func splitInto(dst []string, path string) ([]string, error) {
+	if path == "" || strings.IndexByte(path, 0) >= 0 {
 		return nil, ErrInvalidPath
 	}
 	if len(path) >= 2 && path[1] == ':' {
 		path = path[2:]
-		if path == "" {
-			path = "/"
-		}
 	}
-	path = strings.ReplaceAll(path, "\\", "/")
-	parts := strings.Split(path, "/")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
+	for path != "" {
+		p := path
+		if i := strings.IndexAny(path, `/\`); i >= 0 {
+			p, path = path[:i], path[i+1:]
+		} else {
+			path = ""
+		}
 		switch p {
 		case "", ".":
 		case "..":
-			if len(out) > 0 {
-				out = out[:len(out)-1]
+			if len(dst) > 0 {
+				dst = dst[:len(dst)-1]
 			}
 		default:
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 func (f *FileSystem) lookup(path string) (*Node, error) {
-	parts, err := Split(path)
+	var buf [maxInlineDepth]string
+	parts, err := splitInto(buf[:0], path)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +188,8 @@ func (f *FileSystem) lookup(path string) (*Node, error) {
 }
 
 func (f *FileSystem) lookupParent(path string) (dir *Node, base string, err error) {
-	parts, err := Split(path)
+	var buf [maxInlineDepth]string
+	parts, err := splitInto(buf[:0], path)
 	if err != nil {
 		return nil, "", err
 	}
@@ -263,10 +277,17 @@ func (f *FileSystem) Mkdir(path string, mode uint16) error {
 	if _, ok := dir.children[base]; ok {
 		return ErrExists
 	}
+	_, err = f.mkdirIn(dir, base, mode)
+	return err
+}
+
+// mkdirIn creates directory base inside dir, which must not hold an
+// entry of that name.
+func (f *FileSystem) mkdirIn(dir *Node, base string, mode uint16) (*Node, error) {
 	// A new directory consumes a block from the same volume-wide budget
 	// as file creation and data growth.
 	if _, ok := f.fault(chaos.OpFSDisk, "disk"); ok {
-		return ErrNoSpace
+		return nil, ErrNoSpace
 	}
 	now := f.clock()
 	n := &Node{
@@ -276,21 +297,31 @@ func (f *FileSystem) Mkdir(path string, mode uint16) error {
 	}
 	dir.children[base] = n
 	f.logMkdir(dir, base, n)
-	return nil
+	return n, nil
 }
 
-// MkdirAll creates a directory and any missing parents.
+// MkdirAll creates a directory and any missing parents.  It walks the
+// path once, creating each missing component in place; an existing entry
+// of any kind as the last component counts as success, and a file
+// anywhere before it fails with ErrNotDir.
 func (f *FileSystem) MkdirAll(path string, mode uint16) error {
-	parts, err := Split(path)
+	var buf [maxInlineDepth]string
+	parts, err := splitInto(buf[:0], path)
 	if err != nil {
 		return err
 	}
-	cur := ""
+	n := f.root
 	for _, p := range parts {
-		cur += "/" + p
-		if err := f.Mkdir(cur, mode); err != nil && !errors.Is(err, ErrExists) {
-			return err
+		if !n.dir {
+			return ErrNotDir
 		}
+		c, ok := n.children[p]
+		if !ok {
+			if c, err = f.mkdirIn(n, p, mode); err != nil {
+				return err
+			}
+		}
+		n = c
 	}
 	return nil
 }

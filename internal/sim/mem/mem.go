@@ -16,6 +16,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -201,7 +202,7 @@ func (s *Stats) LiveBlocks() uint64 {
 
 type page struct {
 	prot Prot
-	data []byte // allocated lazily on first write
+	data []byte // allocated lazily on first write; nil reads as zeros
 }
 
 // AddressSpace is one simulated process's view of memory.  The zero value
@@ -429,24 +430,51 @@ func (pg *page) ensure() []byte {
 }
 
 // Read copies size bytes starting at addr.  On fault, it returns the fault
-// and no data.
+// and no data.  The range is checked before the result is allocated, so a
+// huge size at a bad pointer costs nothing.
 func (as *AddressSpace) Read(addr Addr, size uint32) ([]byte, *Fault) {
-	if f := as.check(addr, size, false); f != nil {
-		if as.stats != nil {
-			as.stats.Faults++
-		}
+	if f := as.checkRead(addr, size); f != nil {
 		return nil, f
 	}
 	out := make([]byte, size)
-	var done uint32
-	for done < size {
+	as.copyOut(addr, out)
+	return out, nil
+}
+
+// readInto fills dst from memory starting at addr, or reports the fault.
+func (as *AddressSpace) readInto(addr Addr, dst []byte) *Fault {
+	f := as.checkRead(addr, uint32(len(dst)))
+	if f == nil {
+		as.copyOut(addr, dst)
+	}
+	return f
+}
+
+// checkRead checks a read of [addr, addr+size), counting a fault.
+func (as *AddressSpace) checkRead(addr Addr, size uint32) *Fault {
+	f := as.check(addr, size, false)
+	if f != nil && as.stats != nil {
+		as.stats.Faults++
+	}
+	return f
+}
+
+// copyOut fills dst from memory at addr, which the caller has checked.  A
+// page never written reads as zeros without being given a backing.
+func (as *AddressSpace) copyOut(addr Addr, dst []byte) {
+	for done := 0; done < len(dst); {
 		a := addr + Addr(done)
 		pg := as.pages[pageNum(a)]
 		off := pageOff(a)
-		n := uint32(copy(out[done:], pg.ensure()[off:]))
+		var n int
+		if pg.data == nil {
+			n = min(len(dst)-done, int(PageSize-off))
+			clear(dst[done : done+n])
+		} else {
+			n = copy(dst[done:], pg.data[off:])
+		}
 		done += n
 	}
-	return out, nil
 }
 
 // Write copies data into memory starting at addr.
@@ -473,8 +501,8 @@ func (as *AddressSpace) Write(addr Addr, data []byte) *Fault {
 
 // ReadU8 reads one byte.
 func (as *AddressSpace) ReadU8(addr Addr) (byte, *Fault) {
-	b, f := as.Read(addr, 1)
-	if f != nil {
+	var b [1]byte
+	if f := as.readInto(addr, b[:]); f != nil {
 		return 0, f
 	}
 	return b[0], nil
@@ -487,8 +515,8 @@ func (as *AddressSpace) WriteU8(addr Addr, v byte) *Fault {
 
 // ReadU16 reads a little-endian 16-bit value.
 func (as *AddressSpace) ReadU16(addr Addr) (uint16, *Fault) {
-	b, f := as.Read(addr, 2)
-	if f != nil {
+	var b [2]byte
+	if f := as.readInto(addr, b[:]); f != nil {
 		return 0, f
 	}
 	return uint16(b[0]) | uint16(b[1])<<8, nil
@@ -501,8 +529,8 @@ func (as *AddressSpace) WriteU16(addr Addr, v uint16) *Fault {
 
 // ReadU32 reads a little-endian 32-bit value.
 func (as *AddressSpace) ReadU32(addr Addr) (uint32, *Fault) {
-	b, f := as.Read(addr, 4)
-	if f != nil {
+	var b [4]byte
+	if f := as.readInto(addr, b[:]); f != nil {
 		return 0, f
 	}
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
@@ -539,18 +567,33 @@ func (as *AddressSpace) WriteU64(addr Addr, v uint64) *Fault {
 const CStringLimit = 1 << 20
 
 // CString reads a NUL-terminated byte string starting at addr.  Reading
-// runs until a NUL, a fault, or CStringLimit bytes.
+// runs until a NUL, a fault, or CStringLimit bytes.  A fault is reported
+// at the first unreadable byte, exactly as a byte-at-a-time walk would
+// meet it.
 func (as *AddressSpace) CString(addr Addr) (string, *Fault) {
 	var buf []byte
-	for i := uint32(0); i < CStringLimit; i++ {
-		b, f := as.ReadU8(addr + Addr(i))
-		if f != nil {
+	for left := uint32(CStringLimit); left > 0; {
+		// Checking the first byte the walk reaches on this page checks
+		// the whole page: protection and mapping are per page.
+		if f := as.checkRead(addr, 1); f != nil {
 			return "", f
 		}
-		if b == 0 {
+		n := min(left, PageSize-pageOff(addr))
+		chunk := as.pages[pageNum(addr)].data
+		if chunk == nil {
+			// Never written: the first byte is the terminator.
 			return string(buf), nil
 		}
-		buf = append(buf, b)
+		chunk = chunk[pageOff(addr):][:n]
+		if i := bytes.IndexByte(chunk, 0); i >= 0 {
+			if buf == nil {
+				return string(chunk[:i]), nil
+			}
+			return string(append(buf, chunk[:i]...)), nil
+		}
+		buf = append(buf, chunk...)
+		addr += Addr(n)
+		left -= n
 	}
 	return string(buf), nil
 }
