@@ -20,7 +20,7 @@ func fixture(t *testing.T, o osprofile.OS) *kern.Kernel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Data = []byte("stream fixture contents\n")
+	k.FS.SetData(n, []byte("stream fixture contents\n"))
 	return k
 }
 

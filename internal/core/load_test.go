@@ -77,8 +77,8 @@ func TestApplyLoadPreloadFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(n.Data) != "load fixture" {
-		t.Errorf("preload file content %q", n.Data)
+	if string(n.Data()) != "load fixture" {
+		t.Errorf("preload file content %q", n.Data())
 	}
 
 	// Preloading is per machine, not per case: a second application on

@@ -642,7 +642,7 @@ func (r *Runner) applyLoad(env *Env) {
 			_ = fsys.MkdirAll("/load", 0o7)
 			for i := 0; i < lp.PreloadFiles; i++ {
 				if n, err := fsys.Create(fmt.Sprintf("/load/f%05d.dat", i), 0o6, false); err == nil {
-					n.Data = []byte("load fixture")
+					fsys.SetData(n, []byte("load fixture"))
 				}
 			}
 		}

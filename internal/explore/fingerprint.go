@@ -105,7 +105,7 @@ func hashFS(w hashWriter, f *fs.FileSystem) {
 	walk = func(path string, n *fs.Node) {
 		w.str(path)
 		w.flag(n.IsDir())
-		w.u64(uint64(n.Size()), uint64(n.Mode), uint64(n.Attrs),
+		w.u64(uint64(n.Size()), uint64(n.Mode()), uint64(n.Attrs()),
 			uint64(n.Nlink()), uint64(n.LockCount()),
 			n.CreateTime, n.WriteTime)
 		if !n.IsDir() {

@@ -42,15 +42,16 @@ func registerFileDir(m map[string]Impl) {
 				c.FailErrno(errnoFor(err))
 				return
 			}
-		} else if flags&0x200 != 0 { // O_TRUNC without O_CREAT
-			if n, err := fsys.Stat(path); err == nil && !n.IsDir() {
-				n.Data = nil
-			}
 		}
 		of, err := fsys.Open(path, readable, writable)
 		if err != nil {
 			c.FailErrno(errnoFor(err))
 			return
+		}
+		if flags&0x240 == 0x200 { // O_TRUNC without O_CREAT
+			// Truncate only once the open has passed its permission
+			// check, so a refused open leaves the file intact.
+			fsys.SetData(of.Node(), nil)
 		}
 		of.Append = flags&0x400 != 0
 		fd := c.P.AddFD(&kern.FD{File: of, Read: readable, Write: writable, Flags: int(flags)})
@@ -170,7 +171,7 @@ func registerFileDir(m map[string]Impl) {
 			c.FailErrno(errnoFor(err))
 			return
 		}
-		n.Mode = uint16(c.U32(1) >> 6 & 0x7)
+		c.K.FS.SetMode(n, uint16(c.U32(1)>>6&0x7))
 		c.Ret(0)
 	}
 	m["fchmod"] = func(c *api.Call) {
@@ -182,7 +183,7 @@ func registerFileDir(m map[string]Impl) {
 			c.FailErrno(api.EINVAL)
 			return
 		}
-		f.File.Node().Mode = uint16(c.U32(1) >> 6 & 0x7)
+		c.K.FS.SetMode(f.File.Node(), uint16(c.U32(1)>>6&0x7))
 		c.Ret(0)
 	}
 	m["chown"] = chownPath
@@ -228,11 +229,11 @@ func registerFileDir(m map[string]Impl) {
 			c.FailErrno(errnoFor(err))
 			return
 		}
-		if amode&0x2 != 0 && n.Mode&fs.ModeWrite == 0 {
+		if amode&0x2 != 0 && n.Mode()&fs.ModeWrite == 0 {
 			c.FailErrno(api.EACCES)
 			return
 		}
-		if amode&0x1 != 0 && n.Mode&fs.ModeExec == 0 {
+		if amode&0x1 != 0 && n.Mode()&fs.ModeExec == 0 {
 			c.FailErrno(api.EACCES)
 			return
 		}
@@ -420,7 +421,7 @@ func statBytes(n *fs.Node) []byte {
 	if n == nil {
 		return b
 	}
-	mode := uint32(n.Mode) << 6
+	mode := uint32(n.Mode()) << 6
 	if n.IsDir() {
 		mode |= 0x4000
 	} else {

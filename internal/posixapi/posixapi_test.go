@@ -30,7 +30,7 @@ func newProc(t *testing.T) (*kern.Kernel, *kern.Process) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Data = []byte("posix fixture data")
+	k.FS.SetData(n, []byte("posix fixture data"))
 	_ = k.FS.MkdirAll("/scratch", 0o7)
 	return k, k.NewProcess()
 }
@@ -446,5 +446,38 @@ func TestLseek(t *testing.T) {
 	c = run(t, k, p, "lseek", api.Int(0), api.Int(0), api.Int(0))
 	if c.Out.Err != api.ESPIPE {
 		t.Errorf("lseek on pipe: %+v", c.Out)
+	}
+}
+
+// TestOpenTruncRespectsReadOnly: open(O_WRONLY|O_TRUNC) on a read-only
+// file fails with EACCES and must leave the contents intact.  Inside an
+// explore chain no fixture restore runs between calls, so a refused open
+// that still emptied the file would change what later calls read.  A
+// permitted O_TRUNC open empties the file without a clock tick.
+func TestOpenTruncRespectsReadOnly(t *testing.T) {
+	k := osprofile.Get(osprofile.Linux).NewKernel()
+	suite.SetupFixtures(k)
+	p := k.NewProcess()
+	const oWronlyTrunc = 0x1 | 0x200
+
+	c := run(t, k, p, "open", api.Ptr(cstr(t, p, suite.FixtureReadOnly)), api.Int(oWronlyTrunc), api.Int(0))
+	if c.Out.Ret != -1 || c.Out.Err != api.EACCES {
+		t.Errorf("open read-only O_TRUNC: ret=%d errno=%d, want -1/EACCES", c.Out.Ret, c.Out.Err)
+	}
+	if n, err := k.FS.Stat(suite.FixtureReadOnly); err != nil || string(n.Data()) != suite.FixtureContent {
+		t.Errorf("refused O_TRUNC open changed the read-only file (err=%v)", err)
+	}
+
+	path := cstr(t, p, suite.FixtureWritable)
+	ticks := k.Ticks()
+	c = run(t, k, p, "open", api.Ptr(path), api.Int(oWronlyTrunc), api.Int(0))
+	if c.Out.Ret < 0 {
+		t.Fatalf("open writable O_TRUNC: %+v", c.Out)
+	}
+	if n, err := k.FS.Stat(suite.FixtureWritable); err != nil || n.Size() != 0 {
+		t.Errorf("O_TRUNC open left the writable file non-empty (err=%v)", err)
+	}
+	if k.Ticks() != ticks {
+		t.Errorf("O_TRUNC open advanced the clock %d -> %d", ticks, k.Ticks())
 	}
 }

@@ -285,7 +285,7 @@ func execImpl(hasEnv bool) Impl {
 			c.FailErrno(api.EACCES)
 			return
 		}
-		if n.Mode&0o1 == 0 {
+		if n.Mode()&0o1 == 0 {
 			c.FailErrno(api.EACCES)
 			return
 		}

@@ -54,18 +54,23 @@ var (
 	ErrIO          = errors.New("fs: I/O error")
 )
 
-// Node is a file or directory.
+// Node is a file or directory.  Its data, mode and attributes are read
+// through accessors and written only through FileSystem setters, so
+// every change to state the fixture restore repairs marks the
+// filesystem dirty (see FileSystem.Dirty).
 type Node struct {
 	name     string
 	dir      bool
 	children map[string]*Node
 	parent   *Node
 
-	Data  []byte
-	Mode  uint16 // rwx for owner only; simplified
-	Attrs Attr
+	data  []byte
+	mode  uint16 // rwx for owner only; simplified
+	attrs Attr
 	// Times are simulated ticks, not wall-clock, to keep runs
-	// deterministic.
+	// deterministic.  They stay plain fields: the fixture restore has
+	// never repaired them, so writes to them are not tracked by the
+	// dirty flag.
 	CreateTime, AccessTime, WriteTime uint64
 
 	nlink int
@@ -78,8 +83,18 @@ func (n *Node) Name() string { return n.name }
 // IsDir reports whether the node is a directory.
 func (n *Node) IsDir() bool { return n.dir }
 
+// Data returns the file contents.  The slice aliases the node's
+// storage; callers must not modify it.
+func (n *Node) Data() []byte { return n.data }
+
+// Mode returns the rwx permission bits.
+func (n *Node) Mode() uint16 { return n.mode }
+
+// Attrs returns the Windows-style attribute flags.
+func (n *Node) Attrs() Attr { return n.attrs }
+
 // Size returns the file size in bytes (0 for directories).
-func (n *Node) Size() int64 { return int64(len(n.Data)) }
+func (n *Node) Size() int64 { return int64(len(n.data)) }
 
 // Nlink returns the link count.
 func (n *Node) Nlink() int { return n.nlink }
@@ -88,14 +103,10 @@ func (n *Node) Nlink() int { return n.nlink }
 // (state-coverage fingerprints hash the lock table's shape).
 func (n *Node) LockCount() int { return len(n.locks) }
 
-// ClearLocks drops every byte-range lock on the node.  Fixture reset
-// uses it between test cases to release locks whose owning process is
-// gone (a real OS releases them at process exit).
-func (n *Node) ClearLocks() { n.locks = nil }
-
 // FileSystem is the root of one simulated machine's file tree.
 type FileSystem struct {
-	root *Node
+	// root is held by value: one allocation per filesystem, not two.
+	root Node
 	// clock provides deterministic timestamps; the kernel advances it.
 	clock func() uint64
 	// inj, when non-nil, deterministically injects disk faults (ENOSPC,
@@ -104,6 +115,49 @@ type FileSystem struct {
 	// plog, when non-nil, records durable effects (writes, entry
 	// updates, fsync barriers) for crash-state enumeration.
 	plog *PersistLog
+	// dirty records that the tree, a node's data, mode, attributes or
+	// link count, or a byte-range lock changed since the last MarkClean.
+	dirty bool
+}
+
+// Dirty reports whether any state the fixture restore repairs — the
+// tree shape, file data, modes, attributes, link counts and byte-range
+// locks — may have changed since the last MarkClean.  A new filesystem
+// starts dirty.  Timestamps are not tracked.
+func (f *FileSystem) Dirty() bool { return f.dirty }
+
+// MarkClean clears the dirty flag.  The fixture restore calls it after
+// a complete pass has left the tree canonical.
+func (f *FileSystem) MarkClean() { f.dirty = false }
+
+// SetData replaces a file's contents without a clock tick or a
+// persistence record.  The node keeps b; the caller must not modify it
+// afterwards.
+func (f *FileSystem) SetData(n *Node, b []byte) {
+	n.data = b
+	f.dirty = true
+}
+
+// SetMode sets a node's permission bits.
+func (f *FileSystem) SetMode(n *Node, m uint16) {
+	n.mode = m
+	f.dirty = true
+}
+
+// SetAttrs sets a node's attribute flags.
+func (f *FileSystem) SetAttrs(n *Node, a Attr) {
+	n.attrs = a
+	f.dirty = true
+}
+
+// ClearLocks drops every byte-range lock on the node.  Fixture reset
+// uses it between test cases to release locks whose owning process is
+// gone (a real OS releases them at process exit).
+func (f *FileSystem) ClearLocks(n *Node) {
+	if len(n.locks) > 0 {
+		n.locks = nil
+		f.dirty = true
+	}
 }
 
 // SetInjector attaches a chaos injector session; nil detaches it.
@@ -121,8 +175,11 @@ func New(clock func() uint64) *FileSystem {
 		var t uint64
 		clock = func() uint64 { t++; return t }
 	}
-	root := &Node{name: "", dir: true, children: make(map[string]*Node), Mode: 0o7, Attrs: AttrDirectory, nlink: 1}
-	return &FileSystem{root: root, clock: clock}
+	return &FileSystem{
+		root:  Node{name: "", dir: true, children: make(map[string]*Node), mode: 0o7, attrs: AttrDirectory, nlink: 1},
+		clock: clock,
+		dirty: true,
+	}
 }
 
 // Split normalizes a path into components.  It strips a drive prefix,
@@ -173,7 +230,7 @@ func (f *FileSystem) lookup(path string) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := f.root
+	n := &f.root
 	for _, p := range parts {
 		if !n.dir {
 			return nil, ErrNotDir
@@ -196,7 +253,7 @@ func (f *FileSystem) lookupParent(path string) (dir *Node, base string, err erro
 	if len(parts) == 0 {
 		return nil, "", ErrInvalidPath
 	}
-	n := f.root
+	n := &f.root
 	for _, p := range parts[:len(parts)-1] {
 		c, ok := n.children[p]
 		if !ok {
@@ -216,7 +273,7 @@ func (f *FileSystem) Stat(path string) (*Node, error) { return f.lookup(path) }
 // NodeCount walks the tree and reports how many nodes exist (files and
 // directories, root included).  The scarce sweep's leak oracle compares
 // it before and after a call to catch error paths that strand entries.
-func (f *FileSystem) NodeCount() int { return countNodes(f.root) }
+func (f *FileSystem) NodeCount() int { return countNodes(&f.root) }
 
 func countNodes(n *Node) int {
 	total := 1
@@ -237,11 +294,12 @@ func (f *FileSystem) Create(path string, mode uint16, trunc bool) (*Node, error)
 		if c.dir {
 			return nil, ErrIsDir
 		}
-		if c.Attrs&AttrReadOnly != 0 {
+		if c.attrs&AttrReadOnly != 0 {
 			return nil, ErrPerm
 		}
 		if trunc {
-			c.Data = nil
+			c.data = nil
+			f.dirty = true
 			c.WriteTime = f.clock()
 			f.logTruncate(c, 0)
 		}
@@ -260,10 +318,11 @@ func (f *FileSystem) Create(path string, mode uint16, trunc bool) (*Node, error)
 	}
 	now := f.clock()
 	n := &Node{
-		name: base, parent: dir, Mode: mode, Attrs: AttrArchive, nlink: 1,
+		name: base, parent: dir, mode: mode, attrs: AttrArchive, nlink: 1,
 		CreateTime: now, AccessTime: now, WriteTime: now,
 	}
 	dir.children[base] = n
+	f.dirty = true
 	f.logCreate(dir, base, n)
 	return n, nil
 }
@@ -292,10 +351,11 @@ func (f *FileSystem) mkdirIn(dir *Node, base string, mode uint16) (*Node, error)
 	now := f.clock()
 	n := &Node{
 		name: base, parent: dir, dir: true, children: make(map[string]*Node),
-		Mode: mode, Attrs: AttrDirectory, nlink: 1,
+		mode: mode, attrs: AttrDirectory, nlink: 1,
 		CreateTime: now, AccessTime: now, WriteTime: now,
 	}
 	dir.children[base] = n
+	f.dirty = true
 	f.logMkdir(dir, base, n)
 	return n, nil
 }
@@ -310,7 +370,7 @@ func (f *FileSystem) MkdirAll(path string, mode uint16) error {
 	if err != nil {
 		return err
 	}
-	n := f.root
+	n := &f.root
 	for _, p := range parts {
 		if !n.dir {
 			return ErrNotDir
@@ -342,11 +402,12 @@ func (f *FileSystem) Remove(path string) error {
 	if n.dir {
 		return ErrIsDir
 	}
-	if n.Attrs&AttrReadOnly != 0 {
+	if n.attrs&AttrReadOnly != 0 {
 		return ErrPerm
 	}
 	n.nlink--
 	delete(dir.children, base)
+	f.dirty = true
 	f.logRemove(dir, base, n)
 	return nil
 }
@@ -367,6 +428,7 @@ func (f *FileSystem) Rmdir(path string) error {
 		return ErrNotEmpty
 	}
 	delete(n.parent.children, n.name)
+	f.dirty = true
 	return nil
 }
 
@@ -405,6 +467,7 @@ func (f *FileSystem) Rename(oldPath, newPath string) error {
 	n.name = base
 	n.parent = dir
 	dir.children[base] = n
+	f.dirty = true
 	f.logRename(oldDir, oldBase, dir, base, n, replaced)
 	return nil
 }
@@ -429,6 +492,7 @@ func (f *FileSystem) Link(oldPath, newPath string) error {
 	// modelled; we copy the reference by aliasing the node map entry.
 	dir.children[base] = n
 	n.nlink++
+	f.dirty = true
 	f.logLink(dir, base, n)
 	return nil
 }
@@ -526,7 +590,7 @@ func (f *FileSystem) String() string {
 		if n.dir {
 			b.WriteString("/")
 		} else {
-			fmt.Fprintf(&b, " (%d bytes)", len(n.Data))
+			fmt.Fprintf(&b, " (%d bytes)", len(n.data))
 		}
 		b.WriteString("\n")
 		if n.dir {
@@ -540,6 +604,6 @@ func (f *FileSystem) String() string {
 			}
 		}
 	}
-	walk(f.root, 0)
+	walk(&f.root, 0)
 	return b.String()
 }

@@ -17,7 +17,7 @@ func TestCreateStatRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Data = []byte("hi")
+	f.SetData(n, []byte("hi"))
 	got, err := f.Stat("/a/b/x.txt")
 	if err != nil || got.Size() != 2 {
 		t.Fatalf("Stat: %v size %d", err, got.Size())
@@ -96,7 +96,7 @@ func TestRename(t *testing.T) {
 	_ = f.MkdirAll("/a", 0o7)
 	_ = f.MkdirAll("/b", 0o7)
 	n, _ := f.Create("/a/x", 0o6, false)
-	n.Data = []byte("payload")
+	f.SetData(n, []byte("payload"))
 	if err := f.Rename("/a/x", "/b/y"); err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +104,15 @@ func TestRename(t *testing.T) {
 		t.Error("source still present after Rename")
 	}
 	got, err := f.Stat("/b/y")
-	if err != nil || string(got.Data) != "payload" {
-		t.Errorf("target: %v %q", err, got.Data)
+	if err != nil || string(got.Data()) != "payload" {
+		t.Errorf("target: %v %q", err, got.Data())
 	}
 }
 
 func TestReadOnlyEnforcement(t *testing.T) {
 	f := newFS()
 	n, _ := f.Create("/ro", 0o4, false)
-	n.Attrs |= AttrReadOnly
+	f.SetAttrs(n, n.Attrs()|AttrReadOnly)
 	if err := f.Remove("/ro"); !errors.Is(err, ErrPerm) {
 		t.Errorf("Remove read-only: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestReadOnlyEnforcement(t *testing.T) {
 func TestOpenFileIO(t *testing.T) {
 	f := newFS()
 	n, _ := f.Create("/x", 0o6, false)
-	n.Data = []byte("0123456789")
+	f.SetData(n, []byte("0123456789"))
 	of, err := f.Open("/x", true, true)
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +143,8 @@ func TestOpenFileIO(t *testing.T) {
 	if _, err := of.Write([]byte("ZZZZ")); err != nil {
 		t.Fatal(err)
 	}
-	if string(n.Data) != "01234567ZZZZ" {
-		t.Errorf("after write: %q", n.Data)
+	if string(n.Data()) != "01234567ZZZZ" {
+		t.Errorf("after write: %q", n.Data())
 	}
 	if _, err := of.Seek(-100, SeekCur); err == nil {
 		t.Error("negative seek should fail")
@@ -163,19 +163,19 @@ func TestOpenFileIO(t *testing.T) {
 func TestTruncate(t *testing.T) {
 	f := newFS()
 	n, _ := f.Create("/x", 0o6, false)
-	n.Data = []byte("0123456789")
+	f.SetData(n, []byte("0123456789"))
 	of, _ := f.Open("/x", false, true)
 	if err := of.Truncate(4); err != nil {
 		t.Fatal(err)
 	}
-	if string(n.Data) != "0123" {
-		t.Errorf("Truncate(4): %q", n.Data)
+	if string(n.Data()) != "0123" {
+		t.Errorf("Truncate(4): %q", n.Data())
 	}
 	if err := of.Truncate(8); err != nil {
 		t.Fatal(err)
 	}
-	if len(n.Data) != 8 {
-		t.Errorf("Truncate(8) length %d", len(n.Data))
+	if len(n.Data()) != 8 {
+		t.Errorf("Truncate(8) length %d", len(n.Data()))
 	}
 }
 

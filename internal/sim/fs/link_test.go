@@ -17,7 +17,7 @@ func TestRemoveUnlinksGivenPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig.Data = []byte("x")
+	f.SetData(orig, []byte("x"))
 	if err := f.Link("/orig.txt", "/a/alias.txt"); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestClearLocks(t *testing.T) {
 		t.Fatalf("write through exclusive lock: %v", err)
 	}
 	n, _ := f.Stat("/f.txt")
-	n.ClearLocks()
+	f.ClearLocks(n)
 	if _, err := other.Write([]byte("ok")); err != nil {
 		t.Fatalf("write after ClearLocks: %v", err)
 	}

@@ -35,7 +35,7 @@ func (f *FileSystem) Open(path string, readable, writable bool) (*OpenFile, erro
 	if n.dir {
 		return nil, ErrIsDir
 	}
-	if writable && n.Attrs&AttrReadOnly != 0 {
+	if writable && n.attrs&AttrReadOnly != 0 {
 		return nil, ErrPerm
 	}
 	return &OpenFile{fs: f, node: n, Readable: readable, Writable: writable}, nil
@@ -68,6 +68,9 @@ func (o *OpenFile) Close() error {
 			kept = append(kept, l)
 		}
 	}
+	if len(kept) != len(o.node.locks) {
+		o.fs.dirty = true
+	}
 	o.node.locks = kept
 	// Delete-on-close removes the entry the node is canonically known
 	// by — but only if that entry still points at this node.  A rename
@@ -76,6 +79,7 @@ func (o *OpenFile) Close() error {
 	if o.DeleteOnC && o.node.parent != nil && o.node.parent.children[o.node.name] == o.node {
 		o.node.nlink--
 		delete(o.node.parent.children, o.node.name)
+		o.fs.dirty = true
 		o.fs.logRemove(o.node.parent, o.node.name, o.node)
 	}
 	return nil
@@ -92,10 +96,10 @@ func (o *OpenFile) Read(p []byte) (int, error) {
 	if o.blockedBy(uint64(o.pos), uint64(len(p)), false) {
 		return 0, ErrLocked
 	}
-	if o.pos >= int64(len(o.node.Data)) {
+	if o.pos >= int64(len(o.node.data)) {
 		return 0, nil // EOF: zero bytes, no error (Win32/POSIX style)
 	}
-	n := copy(p, o.node.Data[o.pos:])
+	n := copy(p, o.node.data[o.pos:])
 	o.pos += int64(n)
 	o.node.AccessTime = o.fs.clock()
 	return n, nil
@@ -110,7 +114,7 @@ func (o *OpenFile) Write(p []byte) (int, error) {
 		return 0, ErrNotOpen
 	}
 	if o.Append {
-		o.pos = int64(len(o.node.Data))
+		o.pos = int64(len(o.node.data))
 	}
 	if o.blockedBy(uint64(o.pos), uint64(len(p)), true) {
 		return 0, ErrLocked
@@ -132,17 +136,18 @@ func (o *OpenFile) Write(p []byte) (int, error) {
 		}
 	}
 	end := o.pos + int64(len(p))
-	if end > int64(len(o.node.Data)) {
+	if end > int64(len(o.node.data)) {
 		// Growing the file draws on the volume-wide fs.disk budget (the
 		// same site as entry creation); rewrites in place are free.
 		if _, ok := o.fs.fault(chaos.OpFSDisk, "disk"); ok {
 			return 0, ErrNoSpace
 		}
 		grown := make([]byte, end)
-		copy(grown, o.node.Data)
-		o.node.Data = grown
+		copy(grown, o.node.data)
+		o.node.data = grown
 	}
-	copy(o.node.Data[o.pos:], p)
+	copy(o.node.data[o.pos:], p)
+	o.fs.dirty = true
 	// The log records the bytes that actually landed, so a torn write's
 	// shortened slice is what crash-state enumeration sees.
 	o.fs.logWrite(o.node, end-int64(len(p)), p)
@@ -171,7 +176,7 @@ func (o *OpenFile) Seek(off int64, whence int) (int64, error) {
 	case SeekCur:
 		base = o.pos
 	case SeekEnd:
-		base = int64(len(o.node.Data))
+		base = int64(len(o.node.data))
 	default:
 		return 0, ErrInvalidPath
 	}
@@ -196,13 +201,14 @@ func (o *OpenFile) Truncate(n int64) error {
 		n = o.pos
 	}
 	switch {
-	case n <= int64(len(o.node.Data)):
-		o.node.Data = o.node.Data[:n]
+	case n <= int64(len(o.node.data)):
+		o.node.data = o.node.data[:n]
 	default:
 		grown := make([]byte, n)
-		copy(grown, o.node.Data)
-		o.node.Data = grown
+		copy(grown, o.node.data)
+		o.node.data = grown
 	}
+	o.fs.dirty = true
 	o.fs.logTruncate(o.node, n)
 	o.node.WriteTime = o.fs.clock()
 	return nil
@@ -223,6 +229,7 @@ func (o *OpenFile) Lock(off, length uint64, exclusive bool) error {
 		}
 	}
 	o.node.locks = append(o.node.locks, LockRange{Off: off, Len: length, Exclusive: exclusive, owner: o})
+	o.fs.dirty = true
 	return nil
 }
 
@@ -235,6 +242,7 @@ func (o *OpenFile) Unlock(off, length uint64) error {
 	for i, l := range o.node.locks {
 		if l.owner == o && l.Off == off && l.Len == length {
 			o.node.locks = append(o.node.locks[:i], o.node.locks[i+1:]...)
+			o.fs.dirty = true
 			return nil
 		}
 	}

@@ -163,8 +163,8 @@ func TestPersistTornWriteThenFsync(t *testing.T) {
 	o.Close()
 
 	landed := payload[:chaos.TornSplit(len(payload))]
-	if !bytes.Equal(o.node.Data, landed) {
-		t.Errorf("node data %q, want the torn prefix %q", o.node.Data, landed)
+	if !bytes.Equal(o.node.Data(), landed) {
+		t.Errorf("node data %q, want the torn prefix %q", o.node.Data(), landed)
 	}
 	recs := l.Records()
 	if got := kinds(l); !reflect.DeepEqual(got, []PersistKind{PersistCreate, PersistWrite, PersistFsync}) {

@@ -189,9 +189,13 @@ func (n *Network) fault(op, site string) (string, uint64, bool) {
 // empties (sockets leaked by a previous test case release their
 // bindings), the ephemeral allocator rewinds, and the delivery log
 // clears.  The opened/closed counters survive — they describe the
-// campaign, not one case — so the leak gauge keeps integrating.
+// campaign, not one case — so the leak gauge keeps integrating.  On an
+// already pristine network it returns at once, and it never allocates.
 func (n *Network) Reset() {
-	n.ports = make(map[uint16]*Socket)
+	if len(n.ports) == 0 && n.nextEphemeral == ephemeralBase && len(n.schedule) == 0 && n.seq == 0 {
+		return
+	}
+	clear(n.ports)
 	n.nextEphemeral = ephemeralBase
 	n.schedule = nil
 	n.seq = 0

@@ -362,3 +362,67 @@ func TestFleetChaosIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestResetMatchesFresh: a Reset after bound, listening and connected
+// sockets leaves a network that behaves like net.New.  The same script
+// run on both yields the same ports, schedule and counter increments;
+// only the campaign counters carried across the Reset differ.
+func TestResetMatchesFresh(t *testing.T) {
+	used := net.New(nil)
+	c, _ := pair(t, used)
+	if _, err := c.Send([]byte("in flight")); err != nil {
+		t.Fatal(err)
+	}
+	d := used.NewSocket(net.Dgram)
+	if err := d.Bind(7000); err != nil {
+		t.Fatal(err)
+	}
+	if len(used.Schedule()) == 0 {
+		t.Fatal("precondition: the script logged no delivery")
+	}
+	used.Reset()
+	if len(used.Schedule()) != 0 {
+		t.Errorf("schedule after Reset = %q, want empty", used.Schedule())
+	}
+	live, opened := used.Live(), used.Opened()
+
+	type observed struct {
+		ports          [4]uint16
+		schedule       string
+		dLive, dOpened int
+	}
+	observe := func(n *net.Network, live int, opened uint64) observed {
+		c, s := pair(t, n)
+		if _, err := c.Send([]byte("probe")); err != nil {
+			t.Fatal(err)
+		}
+		d := n.NewSocket(net.Dgram)
+		if err := d.Bind(7000); err != nil {
+			t.Errorf("port 7000 still pinned: %v", err)
+		}
+		e := n.NewSocket(net.Dgram)
+		if err := e.Bind(0); err != nil {
+			t.Fatal(err)
+		}
+		return observed{
+			ports:    [4]uint16{c.LocalPort, s.LocalPort, d.LocalPort, e.LocalPort},
+			schedule: strings.Join(n.Schedule(), "\n"),
+			dLive:    n.Live() - live,
+			dOpened:  int(n.Opened() - opened),
+		}
+	}
+	got := observe(used, live, opened)
+	want := observe(net.New(nil), 0, 0)
+	if got != want {
+		t.Errorf("after Reset:\n got %+v\nwant %+v (net.New)", got, want)
+	}
+}
+
+// TestResetPristineAllocs gates the per-case cost: resetting a network
+// that is already pristine allocates nothing.
+func TestResetPristineAllocs(t *testing.T) {
+	n := net.New(nil)
+	if a := testing.AllocsPerRun(100, n.Reset); a != 0 {
+		t.Errorf("pristine Reset allocates %.1f times, want 0", a)
+	}
+}

@@ -130,19 +130,19 @@ func TestFixtureIdempotence(t *testing.T) {
 	// drop junk in scratch.
 	_ = k.FS.Remove(FixtureReadable)
 	if n, err := k.FS.Stat(FixtureReadOnly); err == nil {
-		n.Attrs = 0
-		n.Data = []byte("scribbled")
+		k.FS.SetAttrs(n, 0)
+		k.FS.SetData(n, []byte("scribbled"))
 	}
 	if _, err := k.FS.Create(ScratchDir+"/junk.txt", 0o6, false); err != nil {
 		t.Fatal(err)
 	}
 	SetupFixtures(k)
 	n, err := k.FS.Stat(FixtureReadable)
-	if err != nil || string(n.Data) != FixtureContent {
+	if err != nil || string(n.Data()) != FixtureContent {
 		t.Errorf("readable fixture not restored: %v", err)
 	}
 	ro, err := k.FS.Stat(FixtureReadOnly)
-	if err != nil || ro.Attrs&0x1 == 0 || string(ro.Data) != FixtureContent {
+	if err != nil || ro.Attrs()&0x1 == 0 || string(ro.Data()) != FixtureContent {
 		t.Error("read-only fixture not restored")
 	}
 	if _, err := k.FS.Stat(ScratchDir + "/junk.txt"); err == nil {

@@ -3,6 +3,7 @@ package suite
 import (
 	"testing"
 
+	"ballista/internal/chaos"
 	"ballista/internal/osprofile"
 	"ballista/internal/sim/fs"
 	"ballista/internal/sim/kern"
@@ -36,7 +37,7 @@ func TestRestoreFileShape(t *testing.T) {
 		t.Fatalf("fixture unreadable after restore: %v", err)
 	}
 	n, err := k.FS.Stat(FixtureReadable)
-	if err != nil || n.IsDir() || string(n.Data) != FixtureContent {
+	if err != nil || n.IsDir() || string(n.Data()) != FixtureContent {
 		t.Errorf("fixture not restored: err=%v dir=%v", err, n != nil && n.IsDir())
 	}
 	// The displaced subdir tree is back too.
@@ -106,8 +107,8 @@ func TestRestoreDirectoryModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Mode = 0
-	n.Attrs |= fs.AttrReadOnly
+	k.FS.SetMode(n, 0)
+	k.FS.SetAttrs(n, n.Attrs()|fs.AttrReadOnly)
 
 	SetupFixtures(k)
 
@@ -115,8 +116,8 @@ func TestRestoreDirectoryModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Mode != 0o7 || n.Attrs != fs.AttrDirectory {
-		t.Errorf("fixture dir mode=%o attrs=%v after restore, want 7/%v", n.Mode, n.Attrs, fs.AttrDirectory)
+	if n.Mode() != 0o7 || n.Attrs() != fs.AttrDirectory {
+		t.Errorf("fixture dir mode=%o attrs=%v after restore, want 7/%v", n.Mode(), n.Attrs(), fs.AttrDirectory)
 	}
 }
 
@@ -142,7 +143,7 @@ func TestRestoreIsIdempotent(t *testing.T) {
 					out[p] = "dir"
 					walk(p + "/")
 				} else {
-					out[p] = string(n.Data)
+					out[p] = string(n.Data())
 				}
 			}
 		}
@@ -160,4 +161,83 @@ func TestRestoreIsIdempotent(t *testing.T) {
 			t.Errorf("%s changed across resets", p)
 		}
 	}
+}
+
+// TestRestoreRetriesAfterChaosFault: with an injector attached the
+// restore never marks the tree clean, so a re-create an injected disk
+// fault stopped is retried by the next call.
+func TestRestoreRetriesAfterChaosFault(t *testing.T) {
+	k := fixtureKernel(t)
+	plan := &chaos.Plan{Seed: 1, Rules: []chaos.Rule{{Op: chaos.OpFSDisk, RatePerMille: 1000, Max: 1}}}
+	k.SetInjector(plan.NewInjector(nil))
+	if err := k.FS.Remove(FixtureReadable); err != nil {
+		t.Fatal(err)
+	}
+
+	SetupFixtures(k)
+	if _, err := k.FS.Stat(FixtureReadable); err == nil {
+		t.Fatal("precondition: the injected disk fault did not stop the re-create")
+	}
+	if !k.FS.Dirty() {
+		t.Fatal("a restore stopped by a chaos fault left the tree marked clean")
+	}
+
+	SetupFixtures(k)
+	if n, err := k.FS.Stat(FixtureReadable); err != nil || string(n.Data()) != FixtureContent {
+		t.Errorf("next restore did not retry the re-create (err=%v)", err)
+	}
+	if !k.FS.Dirty() {
+		t.Error("a restore under chaos marked the tree clean")
+	}
+}
+
+// TestRestoreSkipsWhenClean: a restore on a tree no tracked mutation
+// touched since the last complete pass does no work and allocates
+// nothing; any tracked mutation brings the full repair back.
+func TestRestoreSkipsWhenClean(t *testing.T) {
+	k := fixtureKernel(t)
+	if k.FS.Dirty() {
+		t.Fatal("a complete restore left the tree dirty")
+	}
+	if a := testing.AllocsPerRun(100, func() { SetupFixtures(k) }); a != 0 {
+		t.Errorf("clean restore allocates %.1f times, want 0", a)
+	}
+	n, err := k.FS.Stat(FixtureWritable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.FS.SetData(n, []byte("scribbled"))
+	SetupFixtures(k)
+	if string(n.Data()) != FixtureContent || k.FS.Dirty() {
+		t.Errorf("restore after a tracked write: data %q dirty=%v", n.Data(), k.FS.Dirty())
+	}
+}
+
+// BenchmarkSetupFixtures measures the per-case restore: clean is the
+// skip on an untouched tree, dirty the full repair pass after one
+// tracked mutation left the tree otherwise canonical.
+func BenchmarkSetupFixtures(b *testing.B) {
+	b.Run("clean", func(b *testing.B) {
+		k := osprofile.Get(osprofile.WinNT).NewKernel()
+		SetupFixtures(k)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			SetupFixtures(k)
+		}
+	})
+	b.Run("dirty", func(b *testing.B) {
+		k := osprofile.Get(osprofile.WinNT).NewKernel()
+		SetupFixtures(k)
+		n, err := k.FS.Stat(FixtureDir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k.FS.SetMode(n, 0o7)
+			SetupFixtures(k)
+		}
+	})
 }

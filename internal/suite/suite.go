@@ -49,16 +49,46 @@ const FixtureContent = "Ballista fixture data: the quick brown fox jumps over th
 // and restorative: called before every test case, it guarantees each
 // case starts from identical disk state even though the machine itself
 // persists across a campaign.
+//
+// The restore is dirty-tracked.  The network is always reset (a no-op on
+// a pristine network), but the file tree is repaired only when
+// k.FS.Dirty() reports a tracked change since the last complete pass:
+// a mutated tree shape, file data, mode, attributes, link count or
+// byte-range lock.  On a tree the last complete pass left canonical the
+// repair below is a pure no-op — no clock tick, no chaos decision, no
+// persistence record — so skipping it changes no result.  Timestamps are
+// not tracked because the repair has never restored them.
+//
+// A machine with a chaos injector attached never marks its tree clean:
+// an injected fault can stop a repair partway, and the next call must
+// retry it, consuming the same chaos decisions as an unconditional
+// repair would.
 func SetupFixtures(k *kern.Kernel) {
+	// The network is machine state like the disk, but unlike disk
+	// fixtures, sockets leaked by a previous case would pin ports and
+	// skew the ephemeral allocator; rewind it so every case sees an
+	// identical network.
+	k.Net.Reset()
+	if !k.FS.Dirty() {
+		return
+	}
+	repairFixtures(k)
+	if k.Injector() == nil {
+		k.FS.MarkClean()
+	}
+}
+
+// repairFixtures is the full repair pass over the file tree.
+func repairFixtures(k *kern.Kernel) {
 	f := k.FS
 	ensureDir := func(path string) {
 		_ = f.MkdirAll(path, 0o7)
 		// A chmod-style MuT may have stripped the directory's permission
 		// bits in a previous case; restore them along with the shape.
 		if n, err := f.Stat(path); err == nil && n.IsDir() {
-			n.Mode = 0o7
-			n.Attrs = fs.AttrDirectory
-			n.ClearLocks()
+			f.SetMode(n, 0o7)
+			f.SetAttrs(n, fs.AttrDirectory)
+			f.ClearLocks(n)
 		}
 	}
 	ensureDir(FixtureDir)
@@ -66,12 +96,6 @@ func SetupFixtures(k *kern.Kernel) {
 	ensureDir(TempDir)
 	ensureDir("/bin")
 	ensureDir("/home/ballista")
-
-	// The network is machine state like the disk, but unlike disk
-	// fixtures, sockets leaked by a previous case would pin ports and
-	// skew the ephemeral allocator; rewind it so every case sees an
-	// identical network.
-	k.Net.Reset()
 
 	ensureFile := func(path, content string, mode uint16, attrs fs.Attr) {
 		n, err := f.Stat(path)
@@ -90,15 +114,14 @@ func SetupFixtures(k *kern.Kernel) {
 				return
 			}
 		}
-		n.Attrs &^= fs.AttrReadOnly
-		if string(n.Data) != content {
-			n.Data = []byte(content)
+		if string(n.Data()) != content {
+			f.SetData(n, []byte(content))
 		}
-		n.Mode = mode
-		n.Attrs = attrs
+		f.SetMode(n, mode)
+		f.SetAttrs(n, attrs)
 		// Byte-range locks taken by a previous case's (now defunct)
 		// process would otherwise shadow this case's I/O.
-		n.ClearLocks()
+		f.ClearLocks(n)
 	}
 
 	ensureFile(FixtureReadable, FixtureContent, 0o6, fs.AttrArchive)
@@ -148,7 +171,7 @@ func prune(k *kern.Kernel, dir string, keep ...string) {
 		}
 		p := base + name
 		if n, err := k.FS.Stat(p); err == nil {
-			n.Attrs &^= fs.AttrReadOnly
+			k.FS.SetAttrs(n, n.Attrs()&^fs.AttrReadOnly)
 			if n.IsDir() {
 				wipe(k, p)
 				_ = k.FS.Rmdir(p)
@@ -167,7 +190,7 @@ func wipe(k *kern.Kernel, dir string) {
 	for _, name := range names {
 		p := dir + "/" + name
 		if n, err := k.FS.Stat(p); err == nil {
-			n.Attrs &^= fs.AttrReadOnly
+			k.FS.SetAttrs(n, n.Attrs()&^fs.AttrReadOnly)
 			if n.IsDir() {
 				wipe(k, p)
 				_ = k.FS.Rmdir(p)

@@ -65,7 +65,7 @@ func registerFileDir(m map[string]Impl) {
 			c.FailWin(winFSError(err))
 			return
 		}
-		dstN.Data = append([]byte(nil), srcN.Data...)
+		c.K.FS.SetData(dstN, append([]byte(nil), srcN.Data()...))
 		c.Ret(winTrue)
 	}
 	m["MoveFile"] = func(c *api.Call) { moveFile(c, false) }
@@ -128,7 +128,7 @@ func registerFileDir(m map[string]Impl) {
 			c.FailWinRet(int64(int32(-1)), winFSError(err))
 			return
 		}
-		c.Ret(int64(uint32(n.Attrs)))
+		c.Ret(int64(uint32(n.Attrs())))
 	}
 	m["SetFileAttributes"] = func(c *api.Call) {
 		path, ok := pathArg(c, 0)
@@ -145,7 +145,7 @@ func registerFileDir(m map[string]Impl) {
 			c.FailWin(winFSError(err))
 			return
 		}
-		n.Attrs = fs.Attr(attrs)
+		c.K.FS.SetAttrs(n, fs.Attr(attrs))
 		c.Ret(winTrue)
 	}
 	m["GetFileSize"] = func(c *api.Call) {
@@ -250,7 +250,7 @@ func registerFileDir(m map[string]Impl) {
 		}
 		n := o.File.Node()
 		info := make([]byte, 52)
-		copy(info[0:], u32b(uint32(n.Attrs)))
+		copy(info[0:], u32b(uint32(n.Attrs())))
 		copy(info[4:], filetimeFrom(n.CreateTime))
 		copy(info[12:], filetimeFrom(n.AccessTime))
 		copy(info[20:], filetimeFrom(n.WriteTime))
@@ -641,7 +641,7 @@ func filetimeShift(c *api.Call) {
 // findData renders a 320-byte WIN32_FIND_DATA.
 func findData(n *fs.Node) []byte {
 	b := make([]byte, 320)
-	copy(b[0:], u32b(uint32(n.Attrs)))
+	copy(b[0:], u32b(uint32(n.Attrs())))
 	copy(b[4:], filetimeFrom(n.CreateTime))
 	copy(b[12:], filetimeFrom(n.AccessTime))
 	copy(b[20:], filetimeFrom(n.WriteTime))

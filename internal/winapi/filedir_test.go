@@ -88,7 +88,7 @@ func TestPathValidation(t *testing.T) {
 func TestDeleteReadOnlyFile(t *testing.T) {
 	k, p := newProc(t, osprofile.WinNT)
 	n, _ := k.FS.Create("/bl/ro.txt", 0o4, false)
-	n.Attrs |= fs.AttrReadOnly
+	k.FS.SetAttrs(n, n.Attrs()|fs.AttrReadOnly)
 	path := cstr(t, p, "/bl/ro.txt")
 	c := run(t, osprofile.WinNT, k, p, "DeleteFile", api.Ptr(path))
 	if c.Out.Err != api.ErrorAccessDenied {
@@ -118,7 +118,7 @@ func TestCopyMoveFile(t *testing.T) {
 		t.Error("MoveFile left the source behind")
 	}
 	got, err := k.FS.Stat("/bl/moved.txt")
-	if err != nil || len(got.Data) == 0 {
+	if err != nil || len(got.Data()) == 0 {
 		t.Error("MoveFile target missing or empty")
 	}
 }

@@ -504,7 +504,7 @@ func createProcess(c *api.Call) {
 		c.FailWin(api.ErrorFileNotFound)
 		return
 	}
-	if n.Mode&0o1 == 0 {
+	if n.Mode()&0o1 == 0 {
 		c.FailWin(api.ErrorAccessDenied)
 		return
 	}

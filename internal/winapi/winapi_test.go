@@ -29,7 +29,7 @@ func newProc(t *testing.T, o osprofile.OS) (*kern.Kernel, *kern.Process) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Data = []byte("win32 fixture data")
+	k.FS.SetData(n, []byte("win32 fixture data"))
 	return k, k.NewProcess()
 }
 
