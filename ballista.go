@@ -159,16 +159,32 @@ var (
 // and tools that need value indices).
 func suiteRegistry() *core.Registry { return suite.NewRegistry() }
 
-// Registry returns the full Ballista data-type registry.
+// Registry returns the full Ballista data-type registry.  Each call
+// builds a new one (about 100 µs and 985 allocations); a registry is
+// read-only once built, so code that needs one per iteration of a loop
+// should build it once and share it.
 func Registry() *core.Registry { return suiteRegistry() }
+
+// defaultConfig is the engine configuration every facade runner starts
+// from: one OS variant, the paper's per-MuT case cap, and a MuT's
+// campaign stopped at its first Catastrophic failure.
+func defaultConfig(o OS) core.Config {
+	return core.Config{OS: o, Cap: core.DefaultCap, StopMuTOnCrash: true}
+}
+
+// newSuiteRunner builds a runner over the full suite — dispatcher and
+// fixtures — with a registry the caller may share across runners.
+func newSuiteRunner(cfg core.Config, reg *core.Registry) *core.Runner {
+	return core.NewRunner(cfg, reg, Dispatch, suite.SetupFixtures)
+}
 
 // NewRunner builds a campaign runner for one OS variant.
 func NewRunner(o OS, opts ...Option) *core.Runner {
-	cfg := core.Config{OS: o, Cap: core.DefaultCap, StopMuTOnCrash: true}
+	cfg := defaultConfig(o)
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return core.NewRunner(cfg, suite.NewRegistry(), Dispatch, suite.SetupFixtures)
+	return newSuiteRunner(cfg, suite.NewRegistry())
 }
 
 // Run executes the full campaign for one OS variant: every supported MuT
@@ -216,7 +232,7 @@ type FarmConfig struct {
 // Any Observer attached via options is shared by all workers and must
 // be safe for concurrent use (the internal/telemetry observers are).
 func NewFarm(o OS, fc FarmConfig, opts ...Option) *farm.Farm {
-	cfg := core.Config{OS: o, Cap: core.DefaultCap, StopMuTOnCrash: true}
+	cfg := defaultConfig(o)
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -243,14 +259,12 @@ func fleetSpecConfig(spec FleetSpec) (core.Config, error) {
 	if !ok {
 		return core.Config{}, fmt.Errorf("ballista: unknown OS %q in campaign spec", spec.OS)
 	}
-	cfg := core.Config{
-		OS: o, Cap: spec.Cap, StopMuTOnCrash: true,
-		Chaos:        spec.Chaos,
-		CaseDeadline: time.Duration(spec.CaseDeadlineMS) * time.Millisecond,
+	cfg := defaultConfig(o)
+	if spec.Cap > 0 {
+		cfg.Cap = spec.Cap
 	}
-	if cfg.Cap <= 0 {
-		cfg.Cap = core.DefaultCap
-	}
+	cfg.Chaos = spec.Chaos
+	cfg.CaseDeadline = time.Duration(spec.CaseDeadlineMS) * time.Millisecond
 	return cfg, nil
 }
 
@@ -292,13 +306,11 @@ func fleetEnv(rec *SpanRecorder, st *ResultStore) fleet.Env {
 			}
 			reg := suite.NewRegistry()
 			newRunner := func(o OS) *core.Runner {
-				return core.NewRunner(
-					core.Config{OS: o, Cap: core.DefaultCap, StopMuTOnCrash: true,
-						Chaos:        spec.Chaos,
-						CaseDeadline: time.Duration(spec.CaseDeadlineMS) * time.Millisecond,
-						Spans:        rec},
-					reg, Dispatch, suite.SetupFixtures,
-				)
+				cfg := defaultConfig(o)
+				cfg.Chaos = spec.Chaos
+				cfg.CaseDeadline = time.Duration(spec.CaseDeadlineMS) * time.Millisecond
+				cfg.Spans = rec
+				return newSuiteRunner(cfg, reg)
 			}
 			ev := explore.NewEvaluator(oses, newRunner)
 			ev.SetSpans(rec)
@@ -363,11 +375,9 @@ type Reproducer = explore.Reproducer
 func NewExplorer(cfg ExploreConfig) (*explore.Fuzzer, error) {
 	reg := suite.NewRegistry()
 	newRunner := func(o OS) *core.Runner {
-		return core.NewRunner(
-			core.Config{OS: o, Cap: core.DefaultCap, StopMuTOnCrash: true,
-				Chaos: cfg.Chaos, ChaosStats: cfg.ChaosStats, Spans: cfg.Spans},
-			reg, Dispatch, suite.SetupFixtures,
-		)
+		rc := defaultConfig(o)
+		rc.Chaos, rc.ChaosStats, rc.Spans = cfg.Chaos, cfg.ChaosStats, cfg.Spans
+		return newSuiteRunner(rc, reg)
 	}
 	return explore.New(cfg, reg, newRunner)
 }
@@ -665,14 +675,17 @@ type ScarceEnv = scarce.Env
 // finding document (the scarce third of the golden regression corpus).
 type ScarceReproducer = scarce.Reproducer
 
-// scarceDeps wires the scarce engine to the real suite: fresh runners
-// over the full registry and dispatcher, the per-OS supported catalog,
-// and the shared data-type registry.
+// scarceDeps wires the scarce engine to the real suite: a fresh runner
+// (so a fresh machine) per probe over the dispatcher and fixtures, the
+// per-OS supported catalog, and one data-type registry built here and
+// shared by every runner and by the sweep itself, so a probe boots a
+// machine, not a registry.
 func scarceDeps() *scarce.Deps {
+	reg := suite.NewRegistry()
 	return &scarce.Deps{
-		NewRunner: func(o OS) *core.Runner { return NewRunner(o) },
+		NewRunner: func(o OS) *core.Runner { return newSuiteRunner(defaultConfig(o), reg) },
 		MuTs:      catalog.MuTsFor,
-		Registry:  Registry(),
+		Registry:  reg,
 	}
 }
 
@@ -714,5 +727,6 @@ type HinderResult = hinder.Result
 // these manually "in some situations"; the oracle mechanizes those
 // situations.
 func AuditHindering(o OS) ([]HinderResult, error) {
-	return hinder.Audit(NewRunner(o), Registry(), o)
+	reg := suite.NewRegistry()
+	return hinder.Audit(newSuiteRunner(defaultConfig(o), reg), reg, o)
 }

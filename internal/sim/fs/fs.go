@@ -9,6 +9,7 @@
 package fs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -169,6 +170,9 @@ func (f *FileSystem) fault(op chaos.Op, site string) (chaos.Fault, bool) {
 	return f.inj.Fault(op, site)
 }
 
+// rootMode is the root directory's permission bits on a new filesystem.
+const rootMode = 0o7
+
 // New creates a filesystem containing only the root directory.
 func New(clock func() uint64) *FileSystem {
 	if clock == nil {
@@ -176,10 +180,78 @@ func New(clock func() uint64) *FileSystem {
 		clock = func() uint64 { t++; return t }
 	}
 	return &FileSystem{
-		root:  Node{name: "", dir: true, children: make(map[string]*Node), mode: 0o7, attrs: AttrDirectory, nlink: 1},
+		root:  Node{name: "", dir: true, children: make(map[string]*Node), mode: rootMode, attrs: AttrDirectory, nlink: 1},
 		clock: clock,
 		dirty: true,
 	}
+}
+
+// Pristine reports whether f is exactly as New left it: the root
+// directory alone with its default mode, attributes, link count and
+// timestamps, still dirty, with no persistence log and no injector.
+func (f *FileSystem) Pristine() bool {
+	r := &f.root
+	return len(r.children) == 0 && r.data == nil && len(r.locks) == 0 &&
+		r.mode == rootMode && r.attrs == AttrDirectory && r.nlink == 1 &&
+		r.CreateTime == 0 && r.AccessTime == 0 && r.WriteTime == 0 &&
+		f.dirty && f.plog == nil && f.inj == nil
+}
+
+// CopyTree replaces f's tree with a deep copy of src's: every node with
+// its own data bytes, children map, mode, attributes, link count and
+// timestamps, and parent pointers rebuilt inside the copy.  It consumes
+// no clock tick, chaos decision or persistence record, leaves f clean,
+// and only reads src, so many filesystems may copy one source
+// concurrently.
+//
+// It refuses a source holding a hard link (an entry whose node has
+// another name) or a byte-range lock (owned by an open file of the
+// source), and a destination with a persistence log attached, whose
+// record stream the copy would bypass.  A refused copy leaves f as it
+// was.
+func (f *FileSystem) CopyTree(src *FileSystem) error {
+	if f.plog != nil {
+		return errors.New("fs: CopyTree into a filesystem with a persistence log")
+	}
+	old := f.root
+	if err := copyNode(&f.root, &src.root); err != nil {
+		// The old children still point at &f.root, so putting the old
+		// root value back restores f exactly.
+		f.root = old
+		return err
+	}
+	f.dirty = false
+	return nil
+}
+
+// copyNode deep-copies src into dst, except dst.parent, which the caller
+// sets.
+func copyNode(dst, src *Node) error {
+	if len(src.locks) > 0 {
+		return fmt.Errorf("fs: CopyTree: %q holds byte-range locks", src.name)
+	}
+	*dst = Node{
+		name: src.name, dir: src.dir,
+		data: bytes.Clone(src.data), mode: src.mode, attrs: src.attrs,
+		CreateTime: src.CreateTime, AccessTime: src.AccessTime, WriteTime: src.WriteTime,
+		nlink: src.nlink,
+	}
+	if src.children == nil {
+		return nil
+	}
+	dst.children = make(map[string]*Node, len(src.children))
+	for name, c := range src.children {
+		if c.nlink != 1 || c.parent != src || c.name != name {
+			return fmt.Errorf("fs: CopyTree: %q is a hard link", name)
+		}
+		n := new(Node)
+		if err := copyNode(n, c); err != nil {
+			return err
+		}
+		n.parent = dst
+		dst.children[name] = n
+	}
+	return nil
 }
 
 // Split normalizes a path into components.  It strips a drive prefix,

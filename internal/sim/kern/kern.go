@@ -211,6 +211,15 @@ func (k *Kernel) Tick() uint64 {
 // Ticks returns the simulated clock without advancing it.
 func (k *Kernel) Ticks() uint64 { return k.ticks }
 
+// AdvanceClock moves the simulated clock forward to t and never back.
+// A fresh machine that installs a pre-built fixture tree uses it to
+// reach the tick count that building the tree would have left.
+func (k *Kernel) AdvanceClock(t uint64) {
+	if t > k.ticks {
+		k.ticks = t
+	}
+}
+
 // Crashed reports whether the machine is down.
 func (k *Kernel) Crashed() bool { return k.crashed }
 

@@ -289,3 +289,18 @@ func TestPIDsDistinct(t *testing.T) {
 		t.Error("duplicate PIDs")
 	}
 }
+
+func TestAdvanceClockMovesForwardOnly(t *testing.T) {
+	k := New(ArchNT)
+	k.AdvanceClock(40)
+	if k.Ticks() != 40 {
+		t.Fatalf("AdvanceClock(40) on a fresh kernel: ticks %d", k.Ticks())
+	}
+	k.AdvanceClock(10)
+	if k.Ticks() != 40 {
+		t.Fatalf("AdvanceClock moved the clock back to %d", k.Ticks())
+	}
+	if k.Tick() != 41 {
+		t.Fatal("the clock does not continue from the advanced tick")
+	}
+}

@@ -13,6 +13,8 @@
 package suite
 
 import (
+	"sync"
+
 	"ballista/internal/core"
 	"ballista/internal/sim/fs"
 	"ballista/internal/sim/kern"
@@ -59,11 +61,24 @@ const FixtureContent = "Ballista fixture data: the quick brown fox jumps over th
 // persistence record — so skipping it changes no result.  Timestamps are
 // not tracked because the repair has never restored them.
 //
+// A brand-new machine — no chaos injector, a clock that has never
+// ticked, and a filesystem exactly as fs.New left it (root alone, no
+// persistence log, no injector) and stamped by the kernel clock, as
+// kern.New wires it — copies the canonical tree instead of building it.  The copy comes from a template built once per process by
+// running the full repair on a fresh kernel; on such a machine the
+// repair reads only the tree and the clock, so the copy plus advancing
+// the clock to the template's tick count equals running it, timestamps
+// and ticks included.  Every other machine takes the repair.
+//
 // A machine with a chaos injector attached never marks its tree clean:
 // an injected fault can stop a repair partway, and the next call must
 // retry it, consuming the same chaos decisions as an unconditional
 // repair would.
-func SetupFixtures(k *kern.Kernel) {
+func SetupFixtures(k *kern.Kernel) { setupFixtures(k, true) }
+
+// setupFixtures is SetupFixtures with the template copy optional, so the
+// soundness oracle can force the repair on a brand-new machine.
+func setupFixtures(k *kern.Kernel, useTemplate bool) {
 	// The network is machine state like the disk, but unlike disk
 	// fixtures, sockets leaked by a previous case would pin ports and
 	// skew the ephemeral allocator; rewind it so every case sees an
@@ -72,11 +87,28 @@ func SetupFixtures(k *kern.Kernel) {
 	if !k.FS.Dirty() {
 		return
 	}
+	if useTemplate && k.Injector() == nil && k.Ticks() == 0 && k.FS.Pristine() {
+		t := fixtureTemplate()
+		if err := k.FS.CopyTree(t.FS); err != nil {
+			panic("suite: fixture template: " + err.Error())
+		}
+		k.AdvanceClock(t.Ticks())
+		return
+	}
 	repairFixtures(k)
 	if k.Injector() == nil {
 		k.FS.MarkClean()
 	}
 }
+
+// fixtureTemplate is a fresh kernel after one full repair: the canonical
+// tree and the tick count a brand-new machine reaches by building it.
+// It is read-only once built; SetupFixtures copies it.
+var fixtureTemplate = sync.OnceValue(func() *kern.Kernel {
+	k := kern.New(kern.ArchNT)
+	repairFixtures(k)
+	return k
+})
 
 // repairFixtures is the full repair pass over the file tree.
 func repairFixtures(k *kern.Kernel) {
