@@ -17,7 +17,6 @@ import (
 	"ballista/internal/core"
 	"ballista/internal/osprofile"
 	"ballista/internal/report"
-	"ballista/internal/sequence"
 )
 
 // benchCap is the per-MuT case limit for benchmark iterations (the
@@ -319,31 +318,6 @@ func BenchmarkLoadAblation(b *testing.B) {
 	}
 	b.ReportMetric(base, "baseline_pressure_pct")
 	b.ReportMetric(loaded, "loaded_pressure_pct")
-}
-
-// BenchmarkSequenceHunt measures the §5 sequence-dependence explorer
-// rediscovering the Windows 98 strncpy inter-test-interference crash.
-func BenchmarkSequenceHunt(b *testing.B) {
-	var muts []catalog.MuT
-	for _, m := range catalog.MuTsFor(Win98) {
-		if m.Name == "strncpy" || m.Name == "fwrite" {
-			muts = append(muts, m)
-		}
-	}
-	var crashes int
-	for i := 0; i < b.N; i++ {
-		ex := sequence.New(func() *core.Runner { return NewRunner(Win98) }, muts,
-			sequence.Config{CasesPerMuT: 8, MaxPairs: 1500})
-		findings, err := ex.Explore(Registry())
-		if err != nil {
-			b.Fatal(err)
-		}
-		crashes = len(sequence.CatastrophicFindings(findings))
-	}
-	b.ReportMetric(float64(crashes), "crash_recipes")
-	if crashes == 0 {
-		b.Error("sequence hunt found no inter-test-interference crashes")
-	}
 }
 
 // BenchmarkHinderingAudit runs the CRASH "H" oracle across all seven

@@ -1,11 +1,11 @@
 // Package explore implements the coverage-guided sequence fuzzer the
-// paper's §5 future work calls for: it generalizes the pair explorer of
-// internal/sequence to call chains of length 2-8, uses a fingerprint of
-// the simulated kernel's state as coverage feedback, and runs every
-// interesting chain through a cross-OS differential oracle — the paper's
-// Table 4 comparison made mechanical.  Chains, corpus checkpoints and
-// minimized reproducers share one JSON schema, so any of them replays
-// byte-for-byte through RunChain.
+// paper's §5 future work calls for: it runs call chains of length 2-8
+// inside one process, uses a fingerprint of the simulated kernel's state
+// as coverage feedback, and runs every interesting chain through a
+// cross-OS differential oracle — the paper's Table 4 comparison made
+// mechanical.  Chains, corpus checkpoints and minimized reproducers
+// share one JSON schema, so any of them replays byte-for-byte through
+// RunChain.
 package explore
 
 import (
@@ -153,9 +153,8 @@ func Resolve(o osprofile.OS, c Chain) ([]catalog.MuT, []core.Case, error) {
 // RunChain executes a chain on the runner's OS: the calls share one
 // process on the runner's machine, exactly as Runner.RunSequence
 // executes them, and the per-step CRASH classes come back in order.  It
-// is the single chain-execution path shared by the pair explorer
-// (internal/sequence), the fuzzer, reproducer replay and the golden
-// regression corpus.
+// is the single chain-execution path shared by the fuzzer, reproducer
+// replay and the golden regression corpus.
 func RunChain(r *core.Runner, c Chain) ([]core.RawClass, error) {
 	ms, cases, err := Resolve(r.Profile().OS, c)
 	if err != nil {

@@ -353,3 +353,59 @@ func TestSocketExploreDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestSequenceCrashes hunts the paper's Table 3 "*" crashes, which come
+// from inter-test interference and show up only under the full harness,
+// with one-OS chains of two calls.  The minimizer keeps a prefix step
+// only when dropping it changes the final call's class, so a minimized
+// two-step Catastrophic chain whose final call alone does not crash is a
+// sequence-induced machine crash.  On Windows 98 two strncpy overruns
+// cross the corruption threshold though each is harmless alone; the NT
+// family has no accumulation mechanism, so no chain crashes it.
+func TestSequenceCrashes(t *testing.T) {
+	ntMuTs := []string{"strncpy", "DuplicateHandle", "GetThreadContext"}
+	for _, tc := range []struct {
+		os        osprofile.OS
+		muts      []string
+		budget    int
+		wantCrash bool
+	}{
+		{ballista.Win98, []string{"strncpy"}, 400, true},
+		{ballista.WinNT, ntMuTs, 1500, false},
+		{ballista.Win2000, ntMuTs, 1500, false},
+	} {
+		t.Run(tc.os.WireName(), func(t *testing.T) {
+			rep, err := ballista.Explore(context.Background(), ballista.ExploreConfig{
+				Primary: tc.os, OSes: []osprofile.OS{tc.os}, MuTs: tc.muts,
+				MaxLen: 2, Budget: tc.budget, Seed: 7,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.wantCrash {
+				if rep.CatastrophicChains != 0 {
+					t.Errorf("%d chains crashed %s", rep.CatastrophicChains, tc.os)
+				}
+				return
+			}
+			for _, d := range rep.Divergences {
+				if !d.Catastrophic || d.Minimized == nil || len(d.Minimized.Steps) != 2 {
+					continue
+				}
+				if d.MinimizedClasses[tc.os.WireName()][1] != core.RawCatastrophic.String() {
+					continue
+				}
+				alone := explore.Chain{Wide: d.Minimized.Wide, Steps: d.Minimized.Steps[1:]}
+				classes, err := explore.RunChain(ballista.NewRunner(tc.os), alone)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if classes[0] != core.RawCatastrophic {
+					return
+				}
+			}
+			t.Errorf("no minimized two-call chain crashes %s while its final call alone does not (%d catastrophic chains)",
+				tc.os, rep.CatastrophicChains)
+		})
+	}
+}
