@@ -61,11 +61,17 @@ var (
 // filesystem dirty (see FileSystem.Dirty).
 type Node struct {
 	name     string
-	dir      bool
 	children map[string]*Node
 	parent   *Node
 
-	data  []byte
+	// data holds the stored bytes, a prefix of the file; the bytes from
+	// len(data) up to size read as zeros.  A truncate that grows a file
+	// moves size alone, so a 2 GiB length costs nothing until written.
+	data []byte
+	size int64
+	// dir sits beside mode and attrs so the three share one word and a
+	// Node stays in the 128-byte size class.
+	dir   bool
 	mode  uint16 // rwx for owner only; simplified
 	attrs Attr
 	// Times are simulated ticks, not wall-clock, to keep runs
@@ -84,7 +90,8 @@ func (n *Node) Name() string { return n.name }
 // IsDir reports whether the node is a directory.
 func (n *Node) IsDir() bool { return n.dir }
 
-// Data returns the file contents.  The slice aliases the node's
+// Data returns the stored bytes, a prefix of the file: the bytes from
+// len(Data()) up to Size() read as zeros.  The slice aliases the node's
 // storage; callers must not modify it.
 func (n *Node) Data() []byte { return n.data }
 
@@ -95,7 +102,7 @@ func (n *Node) Mode() uint16 { return n.mode }
 func (n *Node) Attrs() Attr { return n.attrs }
 
 // Size returns the file size in bytes (0 for directories).
-func (n *Node) Size() int64 { return int64(len(n.data)) }
+func (n *Node) Size() int64 { return n.size }
 
 // Nlink returns the link count.
 func (n *Node) Nlink() int { return n.nlink }
@@ -136,6 +143,15 @@ func (f *FileSystem) MarkClean() { f.dirty = false }
 // afterwards.
 func (f *FileSystem) SetData(n *Node, b []byte) {
 	n.data = b
+	n.size = int64(len(b))
+	f.dirty = true
+}
+
+// CopyData gives dst a copy of src's contents, stored bytes and logical
+// size alike, without a clock tick or a persistence record.
+func (f *FileSystem) CopyData(dst, src *Node) {
+	dst.data = bytes.Clone(src.data)
+	dst.size = src.size
 	f.dirty = true
 }
 
@@ -191,7 +207,7 @@ func New(clock func() uint64) *FileSystem {
 // timestamps, still dirty, with no persistence log and no injector.
 func (f *FileSystem) Pristine() bool {
 	r := &f.root
-	return len(r.children) == 0 && r.data == nil && len(r.locks) == 0 &&
+	return len(r.children) == 0 && r.data == nil && r.size == 0 && len(r.locks) == 0 &&
 		r.mode == rootMode && r.attrs == AttrDirectory && r.nlink == 1 &&
 		r.CreateTime == 0 && r.AccessTime == 0 && r.WriteTime == 0 &&
 		f.dirty && f.plog == nil && f.inj == nil
@@ -232,7 +248,7 @@ func copyNode(dst, src *Node) error {
 	}
 	*dst = Node{
 		name: src.name, dir: src.dir,
-		data: bytes.Clone(src.data), mode: src.mode, attrs: src.attrs,
+		data: bytes.Clone(src.data), size: src.size, mode: src.mode, attrs: src.attrs,
 		CreateTime: src.CreateTime, AccessTime: src.AccessTime, WriteTime: src.WriteTime,
 		nlink: src.nlink,
 	}
@@ -370,7 +386,7 @@ func (f *FileSystem) Create(path string, mode uint16, trunc bool) (*Node, error)
 			return nil, ErrPerm
 		}
 		if trunc {
-			c.data = nil
+			c.data, c.size = nil, 0
 			f.dirty = true
 			c.WriteTime = f.clock()
 			f.logTruncate(c, 0)
@@ -662,7 +678,7 @@ func (f *FileSystem) String() string {
 		if n.dir {
 			b.WriteString("/")
 		} else {
-			fmt.Fprintf(&b, " (%d bytes)", len(n.data))
+			fmt.Fprintf(&b, " (%d bytes)", n.size)
 		}
 		b.WriteString("\n")
 		if n.dir {

@@ -174,8 +174,13 @@ func TestTruncate(t *testing.T) {
 	if err := of.Truncate(8); err != nil {
 		t.Fatal(err)
 	}
-	if len(n.Data()) != 8 {
-		t.Errorf("Truncate(8) length %d", len(n.Data()))
+	if n.Size() != 8 {
+		t.Errorf("Truncate(8) size %d", n.Size())
+	}
+	rf, _ := f.Open("/x", true, false)
+	buf := []byte("?????????")
+	if got, err := rf.Read(buf); err != nil || got != 8 || string(buf) != "0123\x00\x00\x00\x00?" {
+		t.Errorf("Truncate(8) reads %d %v %q", got, err, buf)
 	}
 }
 

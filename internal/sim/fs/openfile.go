@@ -96,10 +96,15 @@ func (o *OpenFile) Read(p []byte) (int, error) {
 	if o.blockedBy(uint64(o.pos), uint64(len(p)), false) {
 		return 0, ErrLocked
 	}
-	if o.pos >= int64(len(o.node.data)) {
+	if o.pos >= o.node.size {
 		return 0, nil // EOF: zero bytes, no error (Win32/POSIX style)
 	}
-	n := copy(p, o.node.data[o.pos:])
+	n := int(min(int64(len(p)), o.node.size-o.pos))
+	stored := 0
+	if o.pos < int64(len(o.node.data)) {
+		stored = copy(p[:n], o.node.data[o.pos:])
+	}
+	clear(p[stored:n]) // past the stored bytes the file reads as zeros
 	o.pos += int64(n)
 	o.node.AccessTime = o.fs.clock()
 	return n, nil
@@ -114,7 +119,7 @@ func (o *OpenFile) Write(p []byte) (int, error) {
 		return 0, ErrNotOpen
 	}
 	if o.Append {
-		o.pos = int64(len(o.node.data))
+		o.pos = o.node.size
 	}
 	if o.blockedBy(uint64(o.pos), uint64(len(p)), true) {
 		return 0, ErrLocked
@@ -136,17 +141,24 @@ func (o *OpenFile) Write(p []byte) (int, error) {
 		}
 	}
 	end := o.pos + int64(len(p))
-	if end > int64(len(o.node.data)) {
+	if end > o.node.size {
 		// Growing the file draws on the volume-wide fs.disk budget (the
 		// same site as entry creation); rewrites in place are free.
 		if _, ok := o.fs.fault(chaos.OpFSDisk, "disk"); ok {
 			return 0, ErrNoSpace
 		}
-		grown := make([]byte, end)
-		copy(grown, o.node.data)
-		o.node.data = grown
+		o.node.size = end
 	}
-	copy(o.node.data[o.pos:], p)
+	if len(p) > 0 {
+		if end > int64(len(o.node.data)) {
+			// Store the bytes up to the write's end; any gap before it
+			// is zeroed by make.
+			grown := make([]byte, end)
+			copy(grown, o.node.data)
+			o.node.data = grown
+		}
+		copy(o.node.data[o.pos:], p)
+	}
 	o.fs.dirty = true
 	// The log records the bytes that actually landed, so a torn write's
 	// shortened slice is what crash-state enumeration sees.
@@ -176,7 +188,7 @@ func (o *OpenFile) Seek(off int64, whence int) (int64, error) {
 	case SeekCur:
 		base = o.pos
 	case SeekEnd:
-		base = int64(len(o.node.data))
+		base = o.node.size
 	default:
 		return 0, ErrInvalidPath
 	}
@@ -200,14 +212,11 @@ func (o *OpenFile) Truncate(n int64) error {
 	if n < 0 {
 		n = o.pos
 	}
-	switch {
-	case n <= int64(len(o.node.data)):
+	// Growing moves the size alone; the new tail reads as zeros.
+	if n < int64(len(o.node.data)) {
 		o.node.data = o.node.data[:n]
-	default:
-		grown := make([]byte, n)
-		copy(grown, o.node.data)
-		o.node.data = grown
 	}
+	o.node.size = n
 	o.fs.dirty = true
 	o.fs.logTruncate(o.node, n)
 	o.node.WriteTime = o.fs.clock()

@@ -19,6 +19,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"ballista/internal/chaos"
 )
@@ -200,15 +202,29 @@ func (s *Stats) LiveBlocks() uint64 {
 	return s.Allocs - s.Frees
 }
 
-type page struct {
-	prot Prot
-	data []byte // allocated lazily on first write; nil reads as zeros
+// span is a run of mapped pages [first, last] sharing one protection.
+type span struct {
+	first, last uint32
+	prot        Prot
 }
 
 // AddressSpace is one simulated process's view of memory.  The zero value
 // is not usable; call New.
+//
+// The page table is range-mapped: mapping, unmapping or protecting a
+// range costs the number of runs it touches, not the number of pages it
+// names, so a 2 GiB mmap is as cheap as a one-page one.  Only pages that
+// have been written get a backing.
 type AddressSpace struct {
-	pages map[uint32]*page // page number -> page
+	// spans holds the mapped pages as disjoint runs sorted by first page;
+	// adjacent runs of equal protection are merged.  It starts in
+	// inline, which holds a typical test process's runs without an
+	// allocation of their own.
+	spans  []span
+	inline [4]span
+	// data holds the backing of each mapped page that has been written; a
+	// mapped page without one reads as zeros.  Made on the first write.
+	data map[uint32]*[PageSize]byte
 
 	// userNext is the bump pointer for Alloc within the user arena.
 	userNext Addr
@@ -247,36 +263,113 @@ func (as *AddressSpace) MappedBytes() uint64 { return as.mapped }
 
 // New creates an empty address space with nothing mapped.
 func New() *AddressSpace {
-	return &AddressSpace{
-		pages:    make(map[uint32]*page),
+	as := &AddressSpace{
 		userNext: UserBase,
 		sysNext:  SystemBase + 0x01000000, // leave a window of unmapped system arena
 		allocs:   make(map[Addr]uint32),
 	}
+	as.spans = as.inline[:0]
+	return as
 }
 
 func pageNum(a Addr) uint32 { return uint32(a) >> PageShift }
 
 func pageOff(a Addr) uint32 { return uint32(a) & (PageSize - 1) }
 
+// pageRange returns the first and last page of [addr, addr+size), or
+// ok=false for an empty or wrapping range.
+func pageRange(addr Addr, size uint32) (first, last uint32, ok bool) {
+	if size == 0 || addr+Addr(size-1) < addr {
+		return 0, 0, false
+	}
+	return pageNum(addr), pageNum(addr + Addr(size-1)), true
+}
+
+// search returns the index of the first span ending at or after page pn:
+// the span holding pn if one does, else where a span for pn would go.
+func (as *AddressSpace) search(pn uint32) int {
+	lo, hi := 0, len(as.spans)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if as.spans[m].last < pn {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// covered counts the mapped pages in [first, last].
+func (as *AddressSpace) covered(first, last uint32) uint64 {
+	var n uint64
+	for i := as.search(first); i < len(as.spans) && as.spans[i].first <= last; i++ {
+		s := as.spans[i]
+		n += uint64(min(s.last, last)-max(s.first, first)) + 1
+	}
+	return n
+}
+
+// carve removes [first, last] from the page table, trimming the runs it
+// cuts, and returns the index where a run starting at first belongs.
+func (as *AddressSpace) carve(first, last uint32) int {
+	i := as.search(first)
+	j := i
+	for j < len(as.spans) && as.spans[j].first <= last {
+		j++
+	}
+	if i == j {
+		return i
+	}
+	at := i
+	var keep [2]span
+	k := 0
+	if s := as.spans[i]; s.first < first {
+		keep[k] = span{s.first, first - 1, s.prot}
+		k++
+		at++
+	}
+	if s := as.spans[j-1]; s.last > last {
+		keep[k] = span{last + 1, s.last, s.prot}
+		k++
+	}
+	as.spans = slices.Replace(as.spans, i, j, keep[:k]...)
+	return at
+}
+
+// setRange maps [first, last] with prot, replacing whatever runs it
+// overlaps, and merges the new run with equal-protection neighbours.
+func (as *AddressSpace) setRange(first, last uint32, prot Prot) {
+	i := as.carve(first, last)
+	as.spans = slices.Insert(as.spans, i, span{first, last, prot})
+	as.mergeNext(i)
+	if i > 0 {
+		as.mergeNext(i - 1)
+	}
+}
+
+// mergeNext folds span i+1 into span i when they abut with equal
+// protection.
+func (as *AddressSpace) mergeNext(i int) {
+	if i+1 >= len(as.spans) {
+		return
+	}
+	a, b := &as.spans[i], as.spans[i+1]
+	if a.last+1 == b.first && a.prot == b.prot {
+		a.last = b.last
+		as.spans = slices.Delete(as.spans, i+1, i+2)
+	}
+}
+
 // Map maps [addr, addr+size) with the given protection, rounding outward
 // to page boundaries.  Mapping over an existing page replaces its
 // protection but preserves its contents.
 func (as *AddressSpace) Map(addr Addr, size uint32, prot Prot) error {
-	if size == 0 {
+	first, last, ok := pageRange(addr, size)
+	if !ok {
 		return ErrBadRange
 	}
-	first := pageNum(addr)
-	last := pageNum(addr + Addr(size-1))
-	if addr+Addr(size-1) < addr { // wrap
-		return ErrBadRange
-	}
-	fresh := uint64(0)
-	for pn := first; pn <= last; pn++ {
-		if _, ok := as.pages[pn]; !ok {
-			fresh += PageSize
-		}
-	}
+	fresh := (uint64(last-first) + 1 - as.covered(first, last)) * PageSize
 	if as.quota != 0 && as.mapped+fresh > as.quota {
 		return ErrNoSpace
 	}
@@ -303,13 +396,7 @@ func (as *AddressSpace) Map(addr Addr, size uint32, prot Prot) error {
 			return ErrNoSpace
 		}
 	}
-	for pn := first; pn <= last; pn++ {
-		if pg, ok := as.pages[pn]; ok {
-			pg.prot = prot
-		} else {
-			as.pages[pn] = &page{prot: prot}
-		}
-	}
+	as.setRange(first, last, prot)
 	as.mapped += fresh
 	if as.stats != nil {
 		as.stats.PagesMapped += fresh / PageSize
@@ -317,45 +404,48 @@ func (as *AddressSpace) Map(addr Addr, size uint32, prot Prot) error {
 	return nil
 }
 
-// Unmap removes all pages intersecting [addr, addr+size).
+// Unmap removes all pages intersecting [addr, addr+size) and drops their
+// backings, so a page mapped there again reads as zeros.
 func (as *AddressSpace) Unmap(addr Addr, size uint32) error {
-	if size == 0 || addr+Addr(size-1) < addr {
+	first, last, ok := pageRange(addr, size)
+	if !ok {
 		return ErrBadRange
 	}
-	first := pageNum(addr)
-	last := pageNum(addr + Addr(size-1))
-	for pn := first; pn <= last; pn++ {
-		if _, ok := as.pages[pn]; ok {
-			as.mapped -= PageSize
-			if as.stats != nil {
-				as.stats.PagesUnmapped++
-			}
-		}
-		delete(as.pages, pn)
+	gone := as.covered(first, last)
+	as.mapped -= gone * PageSize
+	if as.stats != nil {
+		as.stats.PagesUnmapped += gone
 	}
+	as.carve(first, last)
+	maps.DeleteFunc(as.data, func(pn uint32, _ *[PageSize]byte) bool { return first <= pn && pn <= last })
 	return nil
 }
 
 // Protect changes the protection of all pages intersecting
 // [addr, addr+size).  It fails with a *Fault if any page is unmapped.
 func (as *AddressSpace) Protect(addr Addr, size uint32, prot Prot) error {
-	if size == 0 || addr+Addr(size-1) < addr {
+	first, last, ok := pageRange(addr, size)
+	if !ok {
 		return ErrBadRange
 	}
-	first := pageNum(addr)
-	last := pageNum(addr + Addr(size-1))
-	for pn := first; pn <= last; pn++ {
-		if _, ok := as.pages[pn]; !ok {
+	var changed uint64
+	pn := first
+	for i := as.search(first); ; i++ {
+		if i == len(as.spans) || as.spans[i].first > pn {
 			return &Fault{Addr: Addr(pn << PageShift), Kind: FaultUnmapped}
 		}
-	}
-	for pn := first; pn <= last; pn++ {
-		if as.pages[pn].prot != prot {
-			as.pages[pn].prot = prot
-			if as.stats != nil {
-				as.stats.ProtTransitions++
-			}
+		s := as.spans[i]
+		if s.prot != prot {
+			changed += uint64(min(s.last, last)-pn) + 1
 		}
+		if s.last >= last {
+			break
+		}
+		pn = s.last + 1
+	}
+	as.setRange(first, last, prot)
+	if as.stats != nil {
+		as.stats.ProtTransitions += changed
 	}
 	return nil
 }
@@ -363,32 +453,37 @@ func (as *AddressSpace) Protect(addr Addr, size uint32, prot Prot) error {
 // Mapped reports whether every byte of [addr, addr+size) is mapped with at
 // least the given protection.
 func (as *AddressSpace) Mapped(addr Addr, size uint32, prot Prot) bool {
-	if size == 0 {
-		size = 1
-	}
-	if addr+Addr(size-1) < addr {
+	first, last, ok := pageRange(addr, max(size, 1))
+	if !ok {
 		return false
 	}
-	first := pageNum(addr)
-	last := pageNum(addr + Addr(size-1))
-	for pn := first; pn <= last; pn++ {
-		pg, ok := as.pages[pn]
-		if !ok || pg.prot&prot != prot {
+	pn := first
+	for i := as.search(first); i < len(as.spans); i++ {
+		s := as.spans[i]
+		if s.first > pn || s.prot&prot != prot {
 			return false
 		}
+		if s.last >= last {
+			return true
+		}
+		pn = s.last + 1
 	}
-	return true
+	return false
 }
 
 // ProtAt returns the protection of the page containing a and whether the
 // page is mapped.
 func (as *AddressSpace) ProtAt(a Addr) (Prot, bool) {
-	pg, ok := as.pages[pageNum(a)]
-	if !ok {
+	pn := pageNum(a)
+	i := as.search(pn)
+	if i == len(as.spans) || as.spans[i].first > pn {
 		return ProtNone, false
 	}
-	return pg.prot, true
+	return as.spans[i].prot, true
 }
+
+// kernelPage is the first page of the kernel-only range.
+const kernelPage = uint32(KernelBase) >> PageShift
 
 func (as *AddressSpace) check(addr Addr, size uint32, write bool) *Fault {
 	if size == 0 {
@@ -401,32 +496,43 @@ func (as *AddressSpace) check(addr Addr, size uint32, write bool) *Fault {
 	if write {
 		need = ProtWrite
 	}
-	first := pageNum(addr)
+	// Pages are checked in address order, each for the kernel range,
+	// then mapping, then protection; a run that passes is skipped whole.
 	last := pageNum(addr + Addr(size-1))
-	for pn := first; pn <= last; pn++ {
-		pa := Addr(pn << PageShift)
-		if pa < addr {
-			pa = addr
-		}
-		if RegionOf(pa) == RegionKernel {
+	pn := pageNum(addr)
+	for i := as.search(pn); ; i++ {
+		pa := max(Addr(pn<<PageShift), addr)
+		if pn >= kernelPage {
 			return &Fault{Addr: pa, Write: write, Kind: FaultKernelRange}
 		}
-		pg, ok := as.pages[pn]
-		if !ok {
+		if i == len(as.spans) || as.spans[i].first > pn {
 			return &Fault{Addr: pa, Write: write, Kind: FaultUnmapped}
 		}
-		if pg.prot&need != need {
+		s := as.spans[i]
+		if s.prot&need != need {
 			return &Fault{Addr: pa, Write: write, Kind: FaultProtection}
 		}
+		// The run passes up to its end or the kernel boundary,
+		// whichever comes first.
+		end := min(s.last, kernelPage-1)
+		if end >= last {
+			return nil
+		}
+		pn = end + 1
 	}
-	return nil
 }
 
-func (pg *page) ensure() []byte {
-	if pg.data == nil {
-		pg.data = make([]byte, PageSize)
+// backing returns the backing of mapped page pn, making it on first use.
+func (as *AddressSpace) backing(pn uint32) *[PageSize]byte {
+	b := as.data[pn]
+	if b == nil {
+		if as.data == nil {
+			as.data = make(map[uint32]*[PageSize]byte)
+		}
+		b = new([PageSize]byte)
+		as.data[pn] = b
 	}
-	return pg.data
+	return b
 }
 
 // Read copies size bytes starting at addr.  On fault, it returns the fault
@@ -464,14 +570,13 @@ func (as *AddressSpace) checkRead(addr Addr, size uint32) *Fault {
 func (as *AddressSpace) copyOut(addr Addr, dst []byte) {
 	for done := 0; done < len(dst); {
 		a := addr + Addr(done)
-		pg := as.pages[pageNum(a)]
 		off := pageOff(a)
 		var n int
-		if pg.data == nil {
+		if b := as.data[pageNum(a)]; b == nil {
 			n = min(len(dst)-done, int(PageSize-off))
 			clear(dst[done : done+n])
 		} else {
-			n = copy(dst[done:], pg.data[off:])
+			n = copy(dst[done:], b[off:])
 		}
 		done += n
 	}
@@ -491,9 +596,7 @@ func (as *AddressSpace) Write(addr Addr, data []byte) *Fault {
 	var done uint32
 	for done < uint32(len(data)) {
 		a := addr + Addr(done)
-		pg := as.pages[pageNum(a)]
-		off := pageOff(a)
-		n := uint32(copy(pg.ensure()[off:], data[done:]))
+		n := uint32(copy(as.backing(pageNum(a))[pageOff(a):], data[done:]))
 		done += n
 	}
 	return nil
@@ -579,12 +682,12 @@ func (as *AddressSpace) CString(addr Addr) (string, *Fault) {
 			return "", f
 		}
 		n := min(left, PageSize-pageOff(addr))
-		chunk := as.pages[pageNum(addr)].data
-		if chunk == nil {
+		b := as.data[pageNum(addr)]
+		if b == nil {
 			// Never written: the first byte is the terminator.
 			return string(buf), nil
 		}
-		chunk = chunk[pageOff(addr):][:n]
+		chunk := b[pageOff(addr):][:n]
 		if i := bytes.IndexByte(chunk, 0); i >= 0 {
 			if buf == nil {
 				return string(chunk[:i]), nil
@@ -695,5 +798,5 @@ func (as *AddressSpace) BlockSize(base Addr) uint32 {
 // PageCount returns the number of mapped pages (used by tests and the
 // leak checker).
 func (as *AddressSpace) PageCount() int {
-	return len(as.pages)
+	return int(as.mapped / PageSize)
 }

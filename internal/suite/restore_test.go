@@ -241,3 +241,32 @@ func BenchmarkSetupFixtures(b *testing.B) {
 		}
 	})
 }
+
+// TestRestoreAfterTruncateGrow: a case that grows a fixture file with
+// truncate leaves its stored bytes equal to the fixture content but its
+// size larger; the restore must still put the size back.
+func TestRestoreAfterTruncateGrow(t *testing.T) {
+	k := fixtureKernel(t)
+	of, err := k.FS.Open(FixtureWritable, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := of.Truncate(0x7FFFFFFF); err != nil {
+		t.Fatal(err)
+	}
+	SetupFixtures(k)
+	n, err := k.FS.Stat(FixtureWritable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Size() != int64(len(FixtureContent)) || string(n.Data()) != FixtureContent {
+		t.Errorf("restored fixture: size %d, data %q", n.Size(), n.Data())
+	}
+	buf := []byte("??")
+	if _, err := of.Seek(int64(len(FixtureContent))-1, fs.SeekSet); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := of.Read(buf); err != nil || got != 1 || string(buf) != "\n?" {
+		t.Errorf("read at the restored end: %d %v %q", got, err, buf)
+	}
+}

@@ -146,7 +146,7 @@ func repairFixtures(k *kern.Kernel) {
 				return
 			}
 		}
-		if string(n.Data()) != content {
+		if n.Size() != int64(len(content)) || string(n.Data()) != content {
 			f.SetData(n, []byte(content))
 		}
 		f.SetMode(n, mode)

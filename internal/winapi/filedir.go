@@ -65,7 +65,7 @@ func registerFileDir(m map[string]Impl) {
 			c.FailWin(winFSError(err))
 			return
 		}
-		c.K.FS.SetData(dstN, append([]byte(nil), srcN.Data()...))
+		c.K.FS.CopyData(dstN, srcN)
 		c.Ret(winTrue)
 	}
 	m["MoveFile"] = func(c *api.Call) { moveFile(c, false) }

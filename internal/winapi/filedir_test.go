@@ -311,3 +311,40 @@ func TestSetEndOfFile(t *testing.T) {
 		t.Errorf("size after SetEndOfFile = %d", of.Node().Size())
 	}
 }
+
+// TestCopyFileSparse: CopyFile of a truncate-grown file copies its
+// logical size, and the copy reads zeros across the same hole.
+func TestCopyFileSparse(t *testing.T) {
+	k, p := newProc(t, osprofile.WinNT)
+	of, err := k.FS.Open("/bl/readable.txt", true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := of.Truncate(3 * mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	src := cstr(t, p, "/bl/readable.txt")
+	dst := cstr(t, p, "/bl/sparse-copy.txt")
+	if c := run(t, osprofile.WinNT, k, p, "CopyFile", api.Ptr(src), api.Ptr(dst), api.Int(1)); c.Out.Ret != 1 {
+		t.Fatalf("CopyFile: %+v", c.Out)
+	}
+	n, err := k.FS.Stat("/bl/sparse-copy.txt")
+	if err != nil || n.Size() != 3*mem.PageSize {
+		t.Fatalf("copy: err %v, size %d", err, n.Size())
+	}
+	cf := k.FS.OpenNode(n, true, false)
+	if _, err := cf.Seek(16, fs.SeekSet); err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("????????")
+	if got, err := cf.Read(buf); err != nil || got != 8 || string(buf) != "ta\x00\x00\x00\x00\x00\x00" {
+		t.Errorf("copy read %d %v %q", got, err, buf)
+	}
+	if _, err := cf.Seek(-1, fs.SeekEnd); err != nil {
+		t.Fatal(err)
+	}
+	buf = []byte("????")
+	if got, err := cf.Read(buf); err != nil || got != 1 || string(buf) != "\x00???" {
+		t.Errorf("read at the copy's end: %d %v %q", got, err, buf)
+	}
+}
