@@ -848,14 +848,14 @@ func runCrashCheck(co crashOpts) {
 
 // scarceOpts carries the -scarce flag set.
 type scarceOpts struct {
-	seed                    uint64
-	budget, workers         int
-	envSet, osSet           string
-	checkpoint              string
-	reproDir, out, csv      string
-	verbose                 bool
-	observers               []ballista.Observer
-	spans                   *ballista.SpanRecorder
+	seed               uint64
+	budget, workers    int
+	envSet, osSet      string
+	checkpoint         string
+	reproDir, out, csv string
+	verbose            bool
+	observers          []ballista.Observer
+	spans              *ballista.SpanRecorder
 }
 
 func runScarceCheck(so scarceOpts) {

@@ -112,7 +112,17 @@ func (c *Call) UserRead(addr mem.Addr, size uint32) ([]byte, bool) {
 // machine a successful write that lands in the system arena scribbles
 // shared pages (negligible accumulation per hit).
 func (c *Call) UserWrite(addr mem.Addr, data []byte) bool {
-	f := c.P.AS.Write(addr, data)
+	return c.userWrote(addr, c.P.AS.Write(addr, data))
+}
+
+// UserWritePadded is UserWrite of data cut or padded with pad to n bytes
+// (memset, strncpy), checked before any byte is built or written.
+func (c *Call) UserWritePadded(addr mem.Addr, data []byte, n uint32, pad byte) bool {
+	return c.userWrote(addr, c.P.AS.WritePadded(addr, data, n, pad))
+}
+
+// userWrote finishes a user-mode write at addr that ended with fault f.
+func (c *Call) userWrote(addr mem.Addr, f *mem.Fault) bool {
 	if f != nil {
 		c.MemFault(f)
 		return false

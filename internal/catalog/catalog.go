@@ -122,6 +122,10 @@ func (g Group) SystemCallGroup() bool {
 	}
 }
 
+// MaxParams is the most parameters any MuT takes, so a test case's
+// argument words fit in a fixed-size array.
+const MaxParams = 10
+
 // MuT is one Module under Test.
 type MuT struct {
 	Name  string

@@ -216,3 +216,20 @@ func TestTable3CatastrophicCounts(t *testing.T) {
 		t.Errorf("CE Catastrophic C functions counting variants separately = %d, want 27", got)
 	}
 }
+
+// TestMaxParams: every MuT's parameters fit in MaxParams argument words,
+// and the widest MuT uses all of them.
+func TestMaxParams(t *testing.T) {
+	widest := 0
+	for _, a := range []API{Win32, POSIX, CLib} {
+		for _, m := range ForAPI(a) {
+			if len(m.Params) > MaxParams {
+				t.Errorf("%s %s takes %d parameters, more than MaxParams (%d)", a, m.Name, len(m.Params), MaxParams)
+			}
+			widest = max(widest, len(m.Params))
+		}
+	}
+	if widest != MaxParams {
+		t.Errorf("the widest MuT takes %d parameters; set MaxParams to it, not %d", widest, MaxParams)
+	}
+}

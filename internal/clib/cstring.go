@@ -285,9 +285,7 @@ func cStrncpy(c *api.Call) {
 		c.Ret(int64(uint32(dst)))
 		return
 	}
-	out := make([]byte, span)
-	copy(out, encode(c, src))
-	if !c.UserWrite(dst, out) {
+	if !c.UserWritePadded(dst, encode(c, src), uint32(span), 0) {
 		return
 	}
 	c.Ret(int64(uint32(dst)))

@@ -230,16 +230,18 @@ func streamRead(c *api.Call, s *stream, n int) ([]byte, bool) {
 		setState(c, s, fStateErr)
 		return out, true
 	}
-	buf := make([]byte, n)
-	got, err := fd.File.Read(buf)
+	data, err := fd.File.Read(n)
 	if err != nil {
 		setState(c, s, fStateErr)
 		return out, true
 	}
-	if got == 0 {
+	if len(data) == 0 {
 		setState(c, s, fStateEOF)
 	}
-	return append(out, buf[:got]...), true
+	if out == nil {
+		return data, true
+	}
+	return append(out, data...), true
 }
 
 // streamWrite writes bytes to the stream's descriptor.

@@ -147,12 +147,7 @@ func cMemset(c *api.Call) {
 		c.Ret(int64(uint32(dst)))
 		return
 	}
-	fill := make([]byte, n)
-	pat := byte(c.Int(1))
-	for i := range fill {
-		fill[i] = pat
-	}
-	if !c.UserWrite(dst, fill) {
+	if !c.UserWritePadded(dst, nil, n, byte(c.Int(1))) {
 		return
 	}
 	c.Ret(int64(uint32(dst)))

@@ -1,6 +1,10 @@
 package core
 
-import "hash/fnv"
+import (
+	"hash/fnv"
+
+	"ballista/internal/catalog"
+)
 
 // DefaultCap is the paper's limit of 5000 test cases per Module under
 // Test; MuTs whose full cross-product is smaller are tested exhaustively.
@@ -79,47 +83,52 @@ func GenerateCases(mutName string, sizes []int, cap int) []Case {
 	return sampled(mutName, sizes, cap)
 }
 
+// slab returns count cases of arity n cut from one backing array, each
+// capped so an append to one cannot overwrite its neighbour.
+func slab(count, n int) []Case {
+	all := make([]int, count*n)
+	out := make([]Case, count)
+	for i := range out {
+		out[i] = all[i*n : (i+1)*n : (i+1)*n]
+	}
+	return out
+}
+
 func exhaustive(sizes []int, total int) []Case {
-	out := make([]Case, 0, total)
-	cur := make(Case, len(sizes))
-	for {
-		c := make(Case, len(cur))
-		copy(c, cur)
-		out = append(out, c)
-		// Odometer increment.
-		i := len(sizes) - 1
-		for ; i >= 0; i-- {
-			cur[i]++
-			if cur[i] < sizes[i] {
+	out := slab(total, len(sizes))
+	for k := 1; k < total; k++ {
+		// Odometer increment of the previous case.
+		c := out[k]
+		copy(c, out[k-1])
+		for i := len(sizes) - 1; i >= 0; i-- {
+			c[i]++
+			if c[i] < sizes[i] {
 				break
 			}
-			cur[i] = 0
-		}
-		if i < 0 {
-			return out
+			c[i] = 0
 		}
 	}
+	return out
 }
 
 func sampled(mutName string, sizes []int, cap int) []Case {
 	r := newRNG(SeedFor(mutName))
-	seen := make(map[string]bool, cap)
-	out := make([]Case, 0, cap)
-	key := make([]byte, len(sizes))
+	seen := make(map[[catalog.MaxParams]byte]bool, cap)
+	out := slab(cap, len(sizes))
 	// Pools hold well under 256 values, so one byte per parameter keys a
-	// case uniquely.
-	for len(out) < cap {
-		c := make(Case, len(sizes))
+	// case uniquely.  A draw already seen is redrawn into the same slot.
+	for k := 0; k < cap; {
+		var key [catalog.MaxParams]byte
+		c := out[k]
 		for i, n := range sizes {
 			c[i] = r.intn(n)
 			key[i] = byte(c[i])
 		}
-		k := string(key)
-		if seen[k] {
+		if seen[key] {
 			continue
 		}
-		seen[k] = true
-		out = append(out, c)
+		seen[key] = true
+		k++
 	}
 	return out
 }

@@ -339,6 +339,61 @@ func (r *Runner) runCase(m catalog.MuT, impl Impl, types []*DataType, tc Case, w
 	return cls, out
 }
 
+// caseFrame is one test case's state, allocated as one object: the
+// constructors' environment, the call and its argument words.
+type caseFrame struct {
+	env  Env
+	call api.Call
+	args [catalog.MaxParams]api.Arg
+}
+
+// newFrame starts a test case in a fresh process on machine k, under the
+// configured load.
+func (r *Runner) newFrame(k *kern.Kernel, wide bool) *caseFrame {
+	f := &caseFrame{env: Env{K: k, P: k.NewProcess(), Profile: r.profile, Wide: wide}}
+	r.applyLoad(&f.env)
+	return f
+}
+
+// prepare runs the constructors of case tc's test values and readies the
+// call of m with the argument words they made.  It reports false when a
+// constructor failed, so the case cannot run.
+func (r *Runner) prepare(f *caseFrame, m catalog.MuT, types []*DataType, tc Case) bool {
+	args := f.args[:len(types)]
+	for i, dt := range types {
+		a, err := dt.Values[tc[i]].Make(&f.env)
+		if err != nil {
+			return false
+		}
+		args[i] = a
+	}
+	f.call = api.Call{
+		K:      f.env.K,
+		P:      f.env.P,
+		Name:   m.Name,
+		Args:   args,
+		Traits: r.profile.Traits,
+		Def:    r.profile.Defect(m.Name),
+		Wide:   f.env.Wide,
+	}
+	return true
+}
+
+// finish settles the call's outcome once its implementation has returned.
+func (f *caseFrame) finish() {
+	c := &f.call
+	if !c.Done() {
+		// An implementation that falls off the end returned normally.
+		c.Ret(0)
+	}
+	// Corruption-driven crashes may land after the implementation's last
+	// explicit check.
+	if c.K.Crashed() && !c.Out.Crashed {
+		c.Out.Crashed = true
+		c.Out.CrashReason = c.K.CrashReason()
+	}
+}
+
 // execCase is the bare single-case execution: fixture, fresh process,
 // constructors, dispatch, classification.  The returned Outcome is nil
 // for constructor-failure skips (the case never ran).
@@ -347,29 +402,12 @@ func (r *Runner) execCase(m catalog.MuT, impl Impl, types []*DataType, tc Case, 
 	if r.fixture != nil {
 		r.fixture(k)
 	}
-	env := &Env{K: k, P: k.NewProcess(), Profile: r.profile, Wide: wide}
-	defer env.Cleanup()
-	r.applyLoad(env)
-
-	args := make([]api.Arg, len(types))
-	for i, dt := range types {
-		a, err := dt.Values[tc[i]].Make(env)
-		if err != nil {
-			return RawSkip, nil
-		}
-		args[i] = a
+	f := r.newFrame(k, wide)
+	defer f.env.Cleanup()
+	if !r.prepare(f, m, types, tc) {
+		return RawSkip, nil
 	}
-
-	call := &api.Call{
-		K:      k,
-		P:      env.P,
-		Name:   m.Name,
-		Args:   args,
-		Traits: r.profile.Traits,
-		Def:    r.profile.Defect(m.Name),
-		Wide:   wide,
-	}
-	if wedged := r.dispatchCall(k, impl, call); wedged {
+	if wedged := r.dispatchCall(k, impl, &f.call); wedged {
 		// The case exceeded its deadline: the paper's Restart failure,
 		// observed from outside as a task that never returns.  The
 		// machine's state is suspect, so condemn it; the outcome is
@@ -378,17 +416,8 @@ func (r *Runner) execCase(m catalog.MuT, impl Impl, types []*DataType, tc Case, 
 		out := &api.Outcome{Hung: true}
 		return RawRestart, out
 	}
-	if !call.Done() {
-		// An implementation that falls off the end returned normally.
-		call.Ret(0)
-	}
-	// Corruption-driven crashes may land after the implementation's last
-	// explicit check.
-	if k.Crashed() && !call.Out.Crashed {
-		call.Out.Crashed = true
-		call.Out.CrashReason = k.CrashReason()
-	}
-	return Classify(&call.Out), &call.Out
+	f.finish()
+	return Classify(&f.call.Out), &f.call.Out
 }
 
 // wedgeGrace is how long past the deadline the watchdog waits for a
@@ -546,9 +575,8 @@ func (r *Runner) RunSequence(ms []catalog.MuT, cases []Case, wide bool) ([]RawCl
 	if r.fixture != nil {
 		r.fixture(k)
 	}
-	env := &Env{K: k, P: k.NewProcess(), Profile: r.profile, Wide: wide}
-	defer env.Cleanup()
-	r.applyLoad(env)
+	f := r.newFrame(k, wide)
+	defer f.env.Cleanup()
 
 	out := make([]RawClass, len(ms))
 	for i, m := range ms {
@@ -568,47 +596,29 @@ func (r *Runner) RunSequence(ms []catalog.MuT, cases []Case, wide bool) ([]RawCl
 		if len(tc) != len(types) {
 			return nil, fmt.Errorf("core: case arity %d for %s (want %d)", len(tc), m.Name, len(types))
 		}
+		for pi, dt := range types {
+			if tc[pi] < 0 || tc[pi] >= len(dt.Values) {
+				return nil, fmt.Errorf("core: case index out of range for %s param %d", m.Name, pi)
+			}
+		}
 		var start time.Time
 		var ticks0 uint64
 		if r.obs != nil {
 			start = time.Now()
 			ticks0 = k.Ticks()
 		}
-		args := make([]api.Arg, len(types))
-		skip := false
-		for pi, dt := range types {
-			if tc[pi] < 0 || tc[pi] >= len(dt.Values) {
-				return nil, fmt.Errorf("core: case index out of range for %s param %d", m.Name, pi)
-			}
-			a, err := dt.Values[tc[pi]].Make(env)
-			if err != nil {
-				skip = true
-				break
-			}
-			args[pi] = a
-		}
-		if skip {
+		if !r.prepare(f, m, types, tc) {
 			out[i] = RawSkip
 			if r.obs != nil {
 				r.obs.OnCaseDone(r.caseEvent(m, types, tc, wide, i, RawSkip, nil, ticks0, time.Since(start)))
 			}
 			continue
 		}
-		call := &api.Call{
-			K: k, P: env.P, Name: m.Name, Args: args,
-			Traits: r.profile.Traits, Def: r.profile.Defect(m.Name), Wide: wide,
-		}
-		impl(call)
-		if !call.Done() {
-			call.Ret(0)
-		}
-		if k.Crashed() && !call.Out.Crashed {
-			call.Out.Crashed = true
-			call.Out.CrashReason = k.CrashReason()
-		}
-		out[i] = Classify(&call.Out)
+		impl(&f.call)
+		f.finish()
+		out[i] = Classify(&f.call.Out)
 		if r.obs != nil {
-			r.obs.OnCaseDone(r.caseEvent(m, types, tc, wide, i, out[i], &call.Out, ticks0, time.Since(start)))
+			r.obs.OnCaseDone(r.caseEvent(m, types, tc, wide, i, out[i], &f.call.Out, ticks0, time.Since(start)))
 		}
 	}
 	if k.Crashed() {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"ballista/internal/api"
 	"ballista/internal/catalog"
 	"ballista/internal/chaos"
 )
@@ -113,18 +112,12 @@ func (r *Runner) RunScarceProbe(m catalog.MuT, tc Case, wide bool, plan *chaos.P
 	if r.fixture != nil {
 		r.fixture(k)
 	}
-	env := &Env{K: k, P: k.NewProcess(), Profile: r.profile, Wide: wide}
-	defer env.Cleanup()
-	r.applyLoad(env)
-
-	args := make([]api.Arg, len(types))
-	for i, dt := range types {
-		a, err := dt.Values[tc[i]].Make(env)
-		if err != nil {
-			return &ScarceProbe{Class: RawSkip}, nil
-		}
-		args[i] = a
+	f := r.newFrame(k, wide)
+	defer f.env.Cleanup()
+	if !r.prepare(f, m, types, tc) {
+		return &ScarceProbe{Class: RawSkip}, nil
 	}
+	env := &f.env
 
 	// Arm the scarcity session for exactly the call under test.  This
 	// defer runs before env.Cleanup's (LIFO), so teardown never consumes
@@ -140,25 +133,10 @@ func (r *Runner) RunScarceProbe(m catalog.MuT, tc Case, wide bool, plan *chaos.P
 
 	before := scarceSnapshot(env)
 
-	call := &api.Call{
-		K:      k,
-		P:      env.P,
-		Name:   m.Name,
-		Args:   args,
-		Traits: r.profile.Traits,
-		Def:    r.profile.Defect(m.Name),
-		Wide:   wide,
-	}
+	call := &f.call
 	k.EnterSyscall(call.Name)
 	impl(call)
-	if !call.Done() {
-		call.Ret(0)
-	}
-	if k.Crashed() && !call.Out.Crashed {
-		call.Out.Crashed = true
-		call.Out.CrashReason = k.CrashReason()
-	}
-
+	f.finish()
 	probe := &ScarceProbe{
 		Class:       Classify(&call.Out),
 		Code:        call.Out.Err,

@@ -41,9 +41,9 @@ func decodeWorkload(data []byte) (Workload, bool) {
 // persisted state is always legal), verdict vectors sized to the
 // workload, and a stable (pure) evaluation.
 func FuzzCrashWorkload(f *testing.F) {
-	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x07\x03\x01"))             // rename(f1,f0)
-	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x07\x00\x01\x02\x01"))     // create(f1);fsync(f1)
-	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x2a\x01\x00\x03\x00"))     // write(f0);rename(f0,f1)
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x07\x03\x01"))                 // rename(f1,f0)
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x07\x00\x01\x02\x01"))         // create(f1);fsync(f1)
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x2a\x01\x00\x03\x00"))         // write(f0);rename(f0,f1)
 	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x01\x04\x00\x05\x01\x02\x00")) // link;remove;fsync
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, ok := decodeWorkload(data)

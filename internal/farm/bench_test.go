@@ -72,8 +72,8 @@ func TestFarmCaseAllocs(t *testing.T) {
 		os                  ballista.OS
 		maxAllocs, maxBytes float64
 	}{
-		{os: ballista.WinNT, maxAllocs: 32.0},
-		{os: ballista.Linux, maxAllocs: 32.1, maxBytes: 16700},
+		{os: ballista.WinNT, maxAllocs: 5.6},
+		{os: ballista.Linux, maxAllocs: 5.8, maxBytes: 7840},
 	} {
 		t.Run(tc.os.WireName(), func(t *testing.T) {
 			allocs, bytes, cases := farmCost(t, tc.os)

@@ -62,7 +62,7 @@ func BenchmarkFleetLoopback(b *testing.B) {
 // observed spread plus 3%.  An intentional change edits the constant and
 // records the old and new counts in CHANGES.md.
 func TestFleetLoopbackAllocs(t *testing.T) {
-	const maxAllocsPerCase = 74
+	const maxAllocsPerCase = 48
 	env := ballista.FleetEnv()
 	var cases int
 	allocs := testing.AllocsPerRun(1, func() { cases = loopbackCampaign(t, env) })

@@ -80,7 +80,11 @@ func (p *Profile) Defect(fn string) *api.DefectSpec {
 	if !ok {
 		return nil
 	}
-	return &d
+	// Only a hit allocates its copy: taking the address of d itself
+	// would move d to the heap on every call.
+	out := new(api.DefectSpec)
+	*out = d
+	return out
 }
 
 // DefectFunctions returns the names of all functions carrying defects,

@@ -131,6 +131,22 @@ func TestDefectReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestDefectFreeLookupAllocatesNothing: every case looks up its MuT's
+// defect, and most MuTs carry none, so a miss must not allocate on any
+// profile.
+func TestDefectFreeLookupAllocatesNothing(t *testing.T) {
+	for _, o := range All() {
+		p := Get(o)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if p.Defect("CloseHandle") != nil {
+				t.Fatalf("%s: CloseHandle carries a defect", o)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Defect(CloseHandle) allocates %.1f times, want 0", o, allocs)
+		}
+	}
+}
+
 func TestAblateProbing(t *testing.T) {
 	p := AblateProbing(WinNT, Win98)
 	if p.Traits.ProbeKernel || !p.Traits.SharedArena {

@@ -167,13 +167,11 @@ func registerIOPrim(m map[string]Impl) {
 			data = f.Pipe.Buf[:take]
 			f.Pipe.Buf = f.Pipe.Buf[take:]
 		} else {
-			buf := make([]byte, want)
-			got, err := f.File.Read(buf)
-			if err != nil {
+			var err error
+			if data, err = f.File.Read(int(want)); err != nil {
 				c.FailErrno(errnoFor(err))
 				return
 			}
-			data = buf[:got]
 		}
 		if len(data) > 0 && !c.CopyOut(1, c.PtrArg(1), data) {
 			return

@@ -190,7 +190,7 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 			}
 			ev := core.ScarceEvent{
 				Seq: i, MuT: it.m.Name, API: apiWire(it.m.API), Env: it.env.Name,
-				OSes: probed,
+				OSes:    probed,
 				Crashed: r.Crashed, Leaked: r.Leaked, Ungraceful: r.Ungraceful,
 			}
 			if f != nil {

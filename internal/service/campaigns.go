@@ -238,7 +238,7 @@ func writeSSE(w http.ResponseWriter, ev queueEvent) error {
 type StatusResponse struct {
 	// Version is the code-version stamp (git revision, ldflags override,
 	// or catalog-content hash) that also keys the result store.
-	Version string `json:"version"`
+	Version string       `json:"version"`
 	Store   *store.Stats `json:"store,omitempty"`
 	Queue   QueueStatus  `json:"queue"`
 	// FleetCampaign is the active fleet campaign id, if one is being

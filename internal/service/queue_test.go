@@ -396,7 +396,7 @@ func TestQueueJournalResume(t *testing.T) {
 	if err := qj3.append(queueRecord{
 		Op: "submit", Seq: 0, ID: "c000000", Tenant: "acme",
 		Req: &CampaignRequest{OS: "win98", MuT: "ReadFile", Cap: 40},
-		At: time.Now(),
+		At:  time.Now(),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -85,29 +85,30 @@ func (o *OpenFile) Close() error {
 	return nil
 }
 
-// Read copies up to len(p) bytes from the current position.
-func (o *OpenFile) Read(p []byte) (int, error) {
+// Read returns up to n bytes from the current position.  Locks are
+// checked over all n bytes, but only the bytes the file holds there are
+// allocated: a read at or past EOF returns none and no error (Win32/POSIX
+// style).
+func (o *OpenFile) Read(n int) ([]byte, error) {
 	if o.closed {
-		return 0, ErrClosed
+		return nil, ErrClosed
 	}
 	if !o.Readable {
-		return 0, ErrNotOpen
+		return nil, ErrNotOpen
 	}
-	if o.blockedBy(uint64(o.pos), uint64(len(p)), false) {
-		return 0, ErrLocked
+	if o.blockedBy(uint64(o.pos), uint64(n), false) {
+		return nil, ErrLocked
 	}
 	if o.pos >= o.node.size {
-		return 0, nil // EOF: zero bytes, no error (Win32/POSIX style)
+		return nil, nil
 	}
-	n := int(min(int64(len(p)), o.node.size-o.pos))
-	stored := 0
+	p := make([]byte, min(int64(n), o.node.size-o.pos))
 	if o.pos < int64(len(o.node.data)) {
-		stored = copy(p[:n], o.node.data[o.pos:])
+		copy(p, o.node.data[o.pos:]) // past the stored bytes the file reads as zeros
 	}
-	clear(p[stored:n]) // past the stored bytes the file reads as zeros
-	o.pos += int64(n)
+	o.pos += int64(len(p))
 	o.node.AccessTime = o.fs.clock()
-	return n, nil
+	return p, nil
 }
 
 // Write copies p at the current position, extending the file as needed.

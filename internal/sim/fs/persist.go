@@ -42,15 +42,15 @@ func (k PersistKind) String() string {
 // object (inode analogue) by a small log-local integer so a post-crash
 // state can be replayed without touching live *Node pointers.
 type PersistRecord struct {
-	Seq  int
-	Kind PersistKind
-	Node int    // file object the record concerns
-	Prev int    // rename: replaced target's node id, -1 if none
-	Path string // entry path (create/mkdir/remove, rename source)
+	Seq   int
+	Kind  PersistKind
+	Node  int    // file object the record concerns
+	Prev  int    // rename: replaced target's node id, -1 if none
+	Path  string // entry path (create/mkdir/remove, rename source)
 	Path2 string // rename destination / link alias path
-	Off  int64  // write: position the bytes landed at
-	Data []byte // write: the bytes that actually landed (post-chaos)
-	Size int64  // truncate: resulting length
+	Off   int64  // write: position the bytes landed at
+	Data  []byte // write: the bytes that actually landed (post-chaos)
+	Size  int64  // truncate: resulting length
 }
 
 // PersistLog collects persistence records from an attached FileSystem.

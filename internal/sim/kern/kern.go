@@ -265,6 +265,21 @@ func (k *Kernel) Reboot() {
 	k.stats.Reboots++
 }
 
+// processBlock is everything a fresh process starts with, allocated as
+// one object: the process and its address space, the main thread, their
+// kernel objects, and the three console pipes with their handle objects
+// and descriptors.
+type processBlock struct {
+	p       Process
+	as      mem.AddressSpace
+	thread  Thread
+	pobj    Object
+	tobj    Object
+	console [3]Object
+	pipes   [3]Pipe
+	fds     [3]FD
+}
+
 // NewProcess creates a fresh process with its own address space, standard
 // handles and an empty descriptor table.
 func (k *Kernel) NewProcess() *Process {
@@ -275,37 +290,42 @@ func (k *Kernel) NewProcess() *Process {
 		return nil
 	}
 	k.stats.Processes++
-	p := &Process{
+	b := new(processBlock)
+	p := &b.p
+	*p = Process{
 		K:       k,
 		PID:     k.nextPID,
-		AS:      mem.New(),
-		handles: make(map[Handle]*Object),
-		fds:     make(map[int]*FD),
-		Env:     map[string]string{"PATH": "/bin", "TEMP": "/tmp", "HOME": "/home/ballista"},
+		AS:      &b.as,
+		Thread:  &b.thread,
+		object:  &b.pobj,
 		Cwd:     "/",
 		nextH:   4,
-		nextFD:  3,
+		envRows: [4]entry[string, string]{{"HOME", "/home/ballista"}, {"PATH", "/bin"}, {"TEMP", "/tmp"}},
 	}
+	p.handles = p.handleRows[:0]
+	p.fds = p.fdRows[:0]
+	p.env = p.envRows[:3]
+	mem.Init(p.AS)
 	p.AS.SetStats(&k.memStats)
 	p.AS.SetInjector(k.chaos)
 	k.nextPID++
-	p.Thread = &Thread{Proc: p, TID: p.PID*4 + 1, State: ThreadRunning, Priority: 0}
-	p.object = &Object{Kind: KProcess, Proc: p}
-	p.Thread.object = &Object{Kind: KThread, Thread: p.Thread}
+	b.thread = Thread{Proc: p, TID: p.PID*4 + 1, State: ThreadRunning, object: &b.tobj}
+	b.pobj = Object{Kind: KProcess, Proc: p}
+	b.tobj = Object{Kind: KThread, Thread: &b.thread}
 
 	// Standard console plumbing: handle-table entries for the Win32
 	// surface, descriptors 0/1/2 for the POSIX surface.  The input
 	// console is a pipe with a writer that never writes, so a blocking
 	// read can never complete.
-	stdin := &Object{Kind: KPipe, Pipe: &Pipe{ReadersOpen: 1, WritersOpen: 1, Capacity: 4096, Input: true}}
-	stdout := &Object{Kind: KPipe, Pipe: &Pipe{ReadersOpen: 1, WritersOpen: 1, Capacity: 4096}}
-	stderr := &Object{Kind: KPipe, Pipe: &Pipe{ReadersOpen: 1, WritersOpen: 1, Capacity: 4096}}
-	p.SetStd(0, p.AddHandle(stdin))
-	p.SetStd(1, p.AddHandle(stdout))
-	p.SetStd(2, p.AddHandle(stderr))
-	p.AddFDAt(0, &FD{Pipe: stdin.Pipe, Read: true})
-	p.AddFDAt(1, &FD{Pipe: stdout.Pipe, Write: true})
-	p.AddFDAt(2, &FD{Pipe: stderr.Pipe, Write: true})
+	for i := range b.pipes {
+		b.pipes[i] = Pipe{ReadersOpen: 1, WritersOpen: 1, Capacity: 4096, Input: i == 0}
+		b.console[i] = Object{Kind: KPipe, Pipe: &b.pipes[i]}
+		p.SetStd(i, p.AddHandle(&b.console[i]))
+	}
+	for i := range b.fds {
+		b.fds[i] = FD{Pipe: &b.pipes[i], Read: i == 0, Write: i != 0}
+		p.AddFDAt(i, &b.fds[i])
+	}
 	return p
 }
 

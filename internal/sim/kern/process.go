@@ -1,6 +1,8 @@
 package kern
 
 import (
+	"slices"
+
 	"ballista/internal/chaos"
 	"ballista/internal/sim/fs"
 	"ballista/internal/sim/mem"
@@ -50,13 +52,18 @@ type Process struct {
 	Thread *Thread
 	object *Object
 
-	handles map[Handle]*Object
+	// The handle, descriptor and environment tables are kept sorted by
+	// key.  Each starts in the inline rows below, which hold a fresh
+	// process's entries, so NewProcess allocates none of them.
+	handles table[Handle, *Object]
 	nextH   Handle
+	fds     table[int, *FD]
+	env     table[string, string]
 
-	fds    map[int]*FD
-	nextFD int
+	handleRows [4]entry[Handle, *Object]
+	fdRows     [4]entry[int, *FD]
+	envRows    [4]entry[string, string]
 
-	Env map[string]string
 	Cwd string
 
 	LastError uint32
@@ -91,7 +98,7 @@ func (p *Process) AddHandle(o *Object) Handle {
 	h := p.nextH
 	p.nextH += 4
 	o.refs++
-	p.handles[h] = o
+	p.handles.set(h, o)
 	p.K.stats.HandlesOpened++
 	if o.Kind >= 0 && o.Kind < KindCount {
 		p.K.stats.HandlesByKind[o.Kind]++
@@ -108,7 +115,7 @@ func (p *Process) Handle(h Handle) *Object {
 	case PseudoThread:
 		return p.Thread.object
 	}
-	o, ok := p.handles[h]
+	o, ok := p.handles.get(h)
 	if !ok || o.closed {
 		return nil
 	}
@@ -118,11 +125,11 @@ func (p *Process) Handle(h Handle) *Object {
 // CloseHandle removes a handle-table entry, destroying the object when
 // the last reference drops.  It reports whether the handle was live.
 func (p *Process) CloseHandle(h Handle) bool {
-	o, ok := p.handles[h]
+	o, ok := p.handles.get(h)
 	if !ok || o.closed {
 		return false
 	}
-	delete(p.handles, h)
+	p.handles.remove(h)
 	p.K.stats.HandlesClosed++
 	o.refs--
 	if o.refs <= 0 {
@@ -165,17 +172,14 @@ func (p *Process) AddFD(f *FD) int {
 	if _, ok := p.K.chaos.Fault(chaos.OpKernFD, "fd"); ok {
 		return -1
 	}
+	// The lowest free slot is the first gap in the sorted non-negative
+	// keys.
 	fd := 0
-	for {
-		if _, ok := p.fds[fd]; !ok {
-			break
-		}
+	i, _ := p.fds.search(0)
+	for ; i < len(p.fds) && p.fds[i].key == fd; i++ {
 		fd++
 	}
-	p.fds[fd] = f
-	if fd >= p.nextFD {
-		p.nextFD = fd + 1
-	}
+	p.fds = slices.Insert(p.fds, i, entry[int, *FD]{fd, f})
 	p.K.stats.FDsOpened++
 	return fd
 }
@@ -183,29 +187,24 @@ func (p *Process) AddFD(f *FD) int {
 // AddFDAt inserts a descriptor at an exact slot, closing any previous
 // occupant (dup2 semantics).
 func (p *Process) AddFDAt(fd int, f *FD) {
-	if _, ok := p.fds[fd]; ok {
+	if p.fds.set(fd, f) {
 		p.K.stats.FDsClosed++
 	}
-	p.fds[fd] = f
 	p.K.stats.FDsOpened++
 }
 
 // FD resolves a descriptor; nil if closed/unknown.
 func (p *Process) FD(fd int) *FD {
-	f, ok := p.fds[fd]
-	if !ok {
-		return nil
-	}
+	f, _ := p.fds.get(fd)
 	return f
 }
 
 // CloseFD removes a descriptor, reporting whether it was live.
 func (p *Process) CloseFD(fd int) bool {
-	f, ok := p.fds[fd]
+	f, ok := p.fds.remove(fd)
 	if !ok {
 		return false
 	}
-	delete(p.fds, fd)
 	p.K.stats.FDsClosed++
 	if f.File != nil && !f.File.Closed() {
 		_ = f.File.Close()
@@ -224,6 +223,26 @@ func (p *Process) CloseFD(fd int) bool {
 
 // FDCount reports live descriptors (used by leak checks).
 func (p *Process) FDCount() int { return len(p.fds) }
+
+// Getenv returns the value of an environment variable and whether it is
+// set.
+func (p *Process) Getenv(name string) (string, bool) { return p.env.get(name) }
+
+// Setenv sets an environment variable.
+func (p *Process) Setenv(name, val string) { p.env.set(name, val) }
+
+// Unsetenv removes an environment variable.
+func (p *Process) Unsetenv(name string) { p.env.remove(name) }
+
+// Environ returns the environment as "name=value" strings sorted by name,
+// the order Windows keeps an environment block in.
+func (p *Process) Environ() []string {
+	out := make([]string, len(p.env))
+	for i, e := range p.env {
+		out[i] = e.key + "=" + e.val
+	}
+	return out
+}
 
 // WaitResult reports how a wait ended.
 type WaitResult int

@@ -208,8 +208,14 @@ type span struct {
 	prot        Prot
 }
 
+// block is one live Alloc'd block.
+type block struct {
+	base Addr
+	size uint32
+}
+
 // AddressSpace is one simulated process's view of memory.  The zero value
-// is not usable; call New.
+// is not usable; call New or Init.
 //
 // The page table is range-mapped: mapping, unmapping or protecting a
 // range costs the number of runs it touches, not the number of pages it
@@ -231,9 +237,11 @@ type AddressSpace struct {
 	// sysNext is the bump pointer for AllocSystem within the system arena.
 	sysNext Addr
 
-	// allocs tracks live Alloc'd blocks so Free can unmap precisely and
-	// so "pointer to freed memory" test values behave faithfully.
-	allocs map[Addr]uint32 // base -> size
+	// allocs holds the live Alloc'd blocks sorted by base, so Free can
+	// unmap precisely and "pointer to freed memory" test values behave
+	// faithfully.  It starts in allocRows.
+	allocs    []block
+	allocRows [4]block
 
 	// quota bounds total mapped bytes when nonzero (heavy-load testing);
 	// mapped tracks the current total.
@@ -263,13 +271,21 @@ func (as *AddressSpace) MappedBytes() uint64 { return as.mapped }
 
 // New creates an empty address space with nothing mapped.
 func New() *AddressSpace {
-	as := &AddressSpace{
+	as := new(AddressSpace)
+	Init(as)
+	return as
+}
+
+// Init makes *as an empty address space with nothing mapped, in place, so
+// an owner can allocate it inside a larger object.  Its tables start in
+// arrays inside *as, so it must not be copied afterwards.
+func Init(as *AddressSpace) {
+	*as = AddressSpace{
 		userNext: UserBase,
 		sysNext:  SystemBase + 0x01000000, // leave a window of unmapped system arena
-		allocs:   make(map[Addr]uint32),
 	}
 	as.spans = as.inline[:0]
-	return as
+	as.allocs = as.allocRows[:0]
 }
 
 func pageNum(a Addr) uint32 { return uint32(a) >> PageShift }
@@ -584,22 +600,51 @@ func (as *AddressSpace) copyOut(addr Addr, dst []byte) {
 
 // Write copies data into memory starting at addr.
 func (as *AddressSpace) Write(addr Addr, data []byte) *Fault {
-	if len(data) == 0 {
+	return as.WritePadded(addr, data, uint32(len(data)), 0)
+}
+
+// WritePadded writes n bytes at addr: data, cut to n bytes or followed by
+// pad bytes up to n.  Its result, fault and backings are those of Write
+// with the padded buffer, without building one: all of [addr, addr+n) is
+// checked before a byte is written.
+func (as *AddressSpace) WritePadded(addr Addr, data []byte, n uint32, pad byte) *Fault {
+	if n == 0 {
 		return nil
 	}
-	if f := as.check(addr, uint32(len(data)), true); f != nil {
+	if f := as.check(addr, n, true); f != nil {
 		if as.stats != nil {
 			as.stats.Faults++
 		}
 		return f
 	}
-	var done uint32
-	for done < uint32(len(data)) {
+	data = data[:min(uint32(len(data)), n)]
+	for done := uint32(0); done < n; {
 		a := addr + Addr(done)
-		n := uint32(copy(as.backing(pageNum(a))[pageOff(a):], data[done:]))
-		done += n
+		dst := as.backing(pageNum(a))[pageOff(a):]
+		dst = dst[:min(uint32(len(dst)), n-done)]
+		k := 0
+		if done < uint32(len(data)) {
+			k = copy(dst, data[done:])
+		}
+		fill(dst[k:], pad)
+		done += uint32(len(dst))
 	}
 	return nil
+}
+
+// fill sets every byte of b to v.
+func fill(b []byte, v byte) {
+	if v == 0 {
+		clear(b)
+		return
+	}
+	if len(b) == 0 {
+		return
+	}
+	b[0] = v
+	for i := 1; i < len(b); i *= 2 {
+		copy(b[i:], b[:i])
+	}
 }
 
 // ReadU8 reads one byte.
@@ -730,59 +775,65 @@ func (as *AddressSpace) WriteCString(addr Addr, s string) *Fault {
 // returns its base address.  Each block is padded to page granularity with
 // an unmapped guard page after it, so one-past-the-end overruns fault.
 func (as *AddressSpace) Alloc(size uint32, prot Prot) (Addr, error) {
-	if size == 0 {
-		size = 1
-	}
-	pages := (size + PageSize - 1) / PageSize
-	base := as.userNext
-	span := Addr(pages+1) * PageSize // +1 guard page
-	if base+span < base || base+span > UserTop {
-		return 0, ErrNoSpace
-	}
-	if err := as.Map(base, pages*PageSize, prot); err != nil {
-		return 0, err
-	}
-	as.userNext = base + span
-	as.allocs[base] = pages * PageSize
-	if as.stats != nil {
-		as.stats.Allocs++
-	}
-	return base, nil
+	return as.alloc(&as.userNext, UserTop, size, prot)
 }
 
 // AllocSystem maps a block inside the shared system arena.  Only Win9x/CE
 // kernels place user-visible structures there; it exists so test values
 // can craft pointers into the shared arena.
 func (as *AddressSpace) AllocSystem(size uint32, prot Prot) (Addr, error) {
+	return as.alloc(&as.sysNext, SystemTop, size, prot)
+}
+
+// alloc maps a guarded block at the bump pointer *next, below top.
+func (as *AddressSpace) alloc(next *Addr, top Addr, size uint32, prot Prot) (Addr, error) {
 	if size == 0 {
 		size = 1
 	}
 	pages := (size + PageSize - 1) / PageSize
-	base := as.sysNext
-	span := Addr(pages+1) * PageSize
-	if base+span < base || base+span > SystemTop {
+	base := *next
+	span := Addr(pages+1) * PageSize // +1 guard page
+	if base+span < base || base+span > top {
 		return 0, ErrNoSpace
 	}
 	if err := as.Map(base, pages*PageSize, prot); err != nil {
 		return 0, err
 	}
-	as.sysNext = base + span
-	as.allocs[base] = pages * PageSize
+	*next = base + span
+	// The bump pointers only advance, so base is never live already.
+	i, _ := as.findBlock(base)
+	as.allocs = slices.Insert(as.allocs, i, block{base, pages * PageSize})
 	if as.stats != nil {
 		as.stats.Allocs++
 	}
 	return base, nil
 }
 
+// findBlock returns the index of the live block at base, or where one
+// would go, and whether it is present.
+func (as *AddressSpace) findBlock(base Addr) (int, bool) {
+	lo, hi := 0, len(as.allocs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if as.allocs[m].base < base {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(as.allocs) && as.allocs[lo].base == base
+}
+
 // Free unmaps a block previously returned by Alloc or AllocSystem.  The
 // address then faults on access, which "pointer to freed memory" test
 // values rely on.
 func (as *AddressSpace) Free(base Addr) error {
-	size, ok := as.allocs[base]
+	i, ok := as.findBlock(base)
 	if !ok {
 		return fmt.Errorf("mem: Free(%#08x): %w", uint32(base), ErrBadRange)
 	}
-	delete(as.allocs, base)
+	size := as.allocs[i].size
+	as.allocs = slices.Delete(as.allocs, i, i+1)
 	if as.stats != nil {
 		as.stats.Frees++
 	}
@@ -792,7 +843,10 @@ func (as *AddressSpace) Free(base Addr) error {
 // BlockSize returns the size of a live allocation, or 0 if base is not a
 // live allocation base.
 func (as *AddressSpace) BlockSize(base Addr) uint32 {
-	return as.allocs[base]
+	if i, ok := as.findBlock(base); ok {
+		return as.allocs[i].size
+	}
+	return 0
 }
 
 // PageCount returns the number of mapped pages (used by tests and the

@@ -66,9 +66,9 @@ func TestNilStoreIsSafe(t *testing.T) {
 func TestPutRejectsMalformedEntries(t *testing.T) {
 	s, _ := Open(Options{})
 	bad := []Entry{
-		{Classes: "01", Exceptional: "0"},   // length mismatch
-		{Classes: "0a", Exceptional: "00"},  // non-digit class
-		{Classes: "01", Exceptional: "02"},  // non-boolean flag
+		{Classes: "01", Exceptional: "0"},  // length mismatch
+		{Classes: "0a", Exceptional: "00"}, // non-digit class
+		{Classes: "01", Exceptional: "02"}, // non-boolean flag
 		{Classes: "0", Exceptional: "0", Reboots: -1},
 	}
 	for _, e := range bad {

@@ -262,11 +262,10 @@ func TestRestoreAfterTruncateGrow(t *testing.T) {
 	if n.Size() != int64(len(FixtureContent)) || string(n.Data()) != FixtureContent {
 		t.Errorf("restored fixture: size %d, data %q", n.Size(), n.Data())
 	}
-	buf := []byte("??")
 	if _, err := of.Seek(int64(len(FixtureContent))-1, fs.SeekSet); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := of.Read(buf); err != nil || got != 1 || string(buf) != "\n?" {
-		t.Errorf("read at the restored end: %d %v %q", got, err, buf)
+	if got, err := of.Read(2); err != nil || string(got) != "\n" {
+		t.Errorf("read at the restored end: %v %q", err, got)
 	}
 }

@@ -336,15 +336,13 @@ func TestCopyFileSparse(t *testing.T) {
 	if _, err := cf.Seek(16, fs.SeekSet); err != nil {
 		t.Fatal(err)
 	}
-	buf := []byte("????????")
-	if got, err := cf.Read(buf); err != nil || got != 8 || string(buf) != "ta\x00\x00\x00\x00\x00\x00" {
-		t.Errorf("copy read %d %v %q", got, err, buf)
+	if got, err := cf.Read(8); err != nil || string(got) != "ta\x00\x00\x00\x00\x00\x00" {
+		t.Errorf("copy read %v %q", err, got)
 	}
 	if _, err := cf.Seek(-1, fs.SeekEnd); err != nil {
 		t.Fatal(err)
 	}
-	buf = []byte("????")
-	if got, err := cf.Read(buf); err != nil || got != 1 || string(buf) != "\x00???" {
-		t.Errorf("read at the copy's end: %d %v %q", got, err, buf)
+	if got, err := cf.Read(4); err != nil || string(got) != "\x00" {
+		t.Errorf("read at the copy's end: %v %q", err, got)
 	}
 }

@@ -260,13 +260,11 @@ func readFile(c *api.Call) {
 			c.FailWin(api.ErrorAccessDenied)
 			return
 		}
-		buf := make([]byte, want)
-		got, err := o.File.Read(buf)
-		if err != nil {
+		var err error
+		if data, err = o.File.Read(int(want)); err != nil {
 			c.FailWin(winFSError(err))
 			return
 		}
-		data = buf[:got]
 	}
 	if len(data) > 0 && !c.CopyOut(1, c.PtrArg(1), data) {
 		return
@@ -306,13 +304,12 @@ func readFileEx(c *api.Call) {
 			c.FailWin(api.ErrorAccessDenied)
 			return
 		}
-		buf := make([]byte, want)
-		got, err := o.File.Read(buf)
+		data, err := o.File.Read(int(want))
 		if err != nil {
 			c.FailWin(winFSError(err))
 			return
 		}
-		if got > 0 && !c.CopyOut(1, c.PtrArg(1), buf[:got]) {
+		if len(data) > 0 && !c.CopyOut(1, c.PtrArg(1), data) {
 			return
 		}
 	}

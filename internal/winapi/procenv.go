@@ -35,7 +35,7 @@ func registerProcEnv(m map[string]Impl) {
 		if !ok {
 			return
 		}
-		val, exists := c.P.Env[name]
+		val, exists := c.P.Getenv(name)
 		if name == "" || !exists {
 			c.FailWinRet(0, api.ErrorEnvVarNotFound)
 			return
@@ -64,9 +64,9 @@ func registerProcEnv(m map[string]Impl) {
 			if !ok {
 				return
 			}
-			c.P.Env[name] = val
+			c.P.Setenv(name, val)
 		} else {
-			delete(c.P.Env, name)
+			c.P.Unsetenv(name)
 		}
 		c.Ret(winTrue)
 	}
@@ -75,7 +75,7 @@ func registerProcEnv(m map[string]Impl) {
 		if !ok {
 			return
 		}
-		out := expandEnv(src, c.P.Env)
+		out := expandEnv(src, c.P.Getenv)
 		need := len(out) + 1
 		if int(c.U32(2)) < need {
 			c.Ret(int64(need))
@@ -88,10 +88,8 @@ func registerProcEnv(m map[string]Impl) {
 	}
 	m["GetEnvironmentStrings"] = func(c *api.Call) {
 		var b []byte
-		for k, v := range c.P.Env {
-			b = append(b, k...)
-			b = append(b, '=')
-			b = append(b, v...)
+		for _, kv := range c.P.Environ() {
+			b = append(b, kv...)
 			b = append(b, 0)
 		}
 		b = append(b, 0)
@@ -407,7 +405,7 @@ func sysDir(path string) Impl {
 	}
 }
 
-func expandEnv(src string, env map[string]string) string {
+func expandEnv(src string, getenv func(string) (string, bool)) string {
 	var b strings.Builder
 	for i := 0; i < len(src); i++ {
 		if src[i] != '%' {
@@ -420,7 +418,7 @@ func expandEnv(src string, env map[string]string) string {
 			break
 		}
 		name := src[i+1 : i+1+j]
-		if v, ok := env[name]; ok {
+		if v, ok := getenv(name); ok {
 			b.WriteString(v)
 		} else {
 			b.WriteString("%" + name + "%")

@@ -352,6 +352,24 @@ func TestGetSetEnvironmentVariable(t *testing.T) {
 	}
 }
 
+// TestGetEnvironmentStringsIsSorted: the environment block lists the
+// variables sorted by name, as Windows keeps it, so the same case writes
+// the same bytes in every process.
+func TestGetEnvironmentStringsIsSorted(t *testing.T) {
+	const want = "HOME=/home/ballista\x00PATH=/bin\x00TEMP=/tmp\x00\x00"
+	for i := 0; i < 20; i++ {
+		k, p := newProc(t, osprofile.WinNT)
+		c := run(t, osprofile.WinNT, k, p, "GetEnvironmentStrings")
+		if c.Out.Ret == 0 {
+			t.Fatalf("GetEnvironmentStrings: %+v", c.Out)
+		}
+		got, f := p.AS.Read(mem.Addr(uint32(c.Out.Ret)), uint32(len(want)))
+		if f != nil || string(got) != want {
+			t.Fatalf("process %d: block %q %v, want %q", i, got, f, want)
+		}
+	}
+}
+
 func TestFindFirstNextClose(t *testing.T) {
 	k, p := newProc(t, osprofile.WinNT)
 	_ = k.FS.MkdirAll("/bl/dir", 0o7)
