@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"ballista"
 	"ballista/internal/chaos"
+	"ballista/internal/farm"
 )
 
 // mustPreset resolves a stock chaos plan or fails the test.
@@ -143,4 +146,57 @@ func TestFarmTornCheckpointLinesSkipped(t *testing.T) {
 		t.Errorf("replay re-ran %d shards; torn lines should be skipped, not fatal", shards)
 	}
 	sameOSResult(t, "torn-journal replay vs fresh", fresh, replay)
+}
+
+// TestFarmPersistentPanicMarksIncomplete: a worker panic that fires on
+// every attempt exhausts the retry budget.  Each shard is quarantined
+// once per attempt, surfaces as Incomplete, and stays out of the journal,
+// so a resume without chaos re-runs it and matches the fault-free run.
+func TestFarmPersistentPanicMarksIncomplete(t *testing.T) {
+	const smallCap = 20
+	ckpt := filepath.Join(t.TempDir(), "nt.ckpt")
+	plan := &chaos.Plan{Seed: 9, Rules: []chaos.Rule{
+		{Op: chaos.OpWorkerPanic, RatePerMille: 1000},
+	}}
+	f := ballista.NewFarm(ballista.WinNT,
+		ballista.FarmConfig{Workers: 2, Checkpoint: ckpt},
+		ballista.WithCap(smallCap), ballista.WithChaos(plan))
+	res, err := f.Run(context.Background())
+	if err != nil {
+		t.Fatalf("persistent panics sank the campaign: %v", err)
+	}
+	for _, r := range res.Results {
+		if !r.Incomplete {
+			t.Errorf("%s (wide=%v) completed under a panic on every attempt", r.Name(), r.Wide)
+		}
+	}
+
+	attempts := make(map[int][]int)
+	for _, q := range f.Quarantined() {
+		attempts[q.Shard] = append(attempts[q.Shard], q.Attempt)
+	}
+	if len(attempts) != len(res.Results) {
+		t.Errorf("%d shards quarantined, want all %d", len(attempts), len(res.Results))
+	}
+	for shard, as := range attempts {
+		sort.Ints(as)
+		if !reflect.DeepEqual(as, []int{1, 2, 3}) {
+			t.Errorf("shard %d quarantined at attempts %v, want [1 2 3]", shard, as)
+		}
+	}
+
+	done, err := farm.LoadJournal(ckpt, ballista.WinNT.WireName(), smallCap, farm.ShardDescs(ballista.WinNT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 0 {
+		t.Errorf("journal holds %d records of shards that never completed", len(done))
+	}
+
+	resumed, err := ballista.RunFarm(context.Background(), ballista.WinNT,
+		ballista.FarmConfig{Workers: 2, Checkpoint: ckpt}, ballista.WithCap(smallCap))
+	if err != nil {
+		t.Fatalf("resume after persistent panics: %v", err)
+	}
+	sameOSResult(t, "resumed-after-panics vs fault-free", resumed, runFarm(t, 2, ballista.WithCap(smallCap)))
 }
