@@ -147,7 +147,7 @@ func NewRunner(cfg Config, reg *Registry, dispatch Dispatcher, fixture Fixture) 
 
 // SetSpanParent links this runner's mut spans under an enclosing span —
 // a farm shard span, or a fleet worker's unit span — so the causal
-// chain survives work-stealing and remote execution.
+// chain survives parallel and remote execution.
 func (r *Runner) SetSpanParent(id uint64) { r.spanParent = id }
 
 // Profile exposes the runner's OS profile.
@@ -181,6 +181,30 @@ func (r *Runner) bind(m catalog.MuT) ([]*DataType, error) {
 		types[i] = dt
 	}
 	return types, nil
+}
+
+// resolve looks up the implementation and parameter types of a MuT for
+// one identified test case, and checks that tc names one in-range value
+// per parameter — a case read from a request or a reproducer file is
+// outside input.
+func (r *Runner) resolve(m catalog.MuT, tc Case) (Impl, []*DataType, error) {
+	impl, ok := r.dispatch(m)
+	if !ok {
+		return nil, nil, fmt.Errorf("%w for %s %q", ErrNoImpl, m.API, m.Name)
+	}
+	types, err := r.bind(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(tc) != len(types) {
+		return nil, nil, fmt.Errorf("core: case arity %d for %s (want %d)", len(tc), m.Name, len(types))
+	}
+	for i, dt := range types {
+		if tc[i] < 0 || tc[i] >= len(dt.Values) {
+			return nil, nil, fmt.Errorf("core: case index %d out of range for %s param %d", tc[i], m.Name, i)
+		}
+	}
+	return impl, types, nil
 }
 
 // RunMuT executes the full (capped) campaign for one MuT.  Cancelling
@@ -285,18 +309,9 @@ func (r *Runner) reboot(mutName string) {
 // RunCase executes a single identified test case (the paper's
 // single-test-program reproduction mode).
 func (r *Runner) RunCase(m catalog.MuT, tc Case, wide bool) (RawClass, error) {
-	impl, ok := r.dispatch(m)
-	if !ok {
-		return RawSkip, fmt.Errorf("%w for %s %q", ErrNoImpl, m.API, m.Name)
-	}
-	types, err := r.bind(m)
+	impl, types, err := r.resolve(m, tc)
 	if err != nil {
 		return RawSkip, err
-	}
-	for i, dt := range types {
-		if tc[i] < 0 || tc[i] >= len(dt.Values) {
-			return RawSkip, fmt.Errorf("core: case index %d out of range for %s param %d", tc[i], m.Name, i)
-		}
 	}
 	cls, _ := r.runCase(m, impl, types, tc, wide, -1)
 	if cls == RawCatastrophic {
@@ -550,7 +565,7 @@ func (r *Runner) epoch() int {
 // fresh kernel, returning the discarded kernel's reboot count.  Farm
 // workers call it between shards so every shard starts from identical
 // machine state no matter which worker executes it or in what order —
-// the property that makes a work-stealing schedule deterministic.
+// the property that makes a parallel schedule deterministic.
 func (r *Runner) ResetMachine() int {
 	n := r.epoch()
 	r.kernel = nil
@@ -584,22 +599,10 @@ func (r *Runner) RunSequence(ms []catalog.MuT, cases []Case, wide bool) ([]RawCl
 			out[i] = RawSkip
 			continue
 		}
-		impl, ok := r.dispatch(m)
-		if !ok {
-			return nil, fmt.Errorf("%w for %s %q", ErrNoImpl, m.API, m.Name)
-		}
-		types, err := r.bind(m)
+		tc := cases[i]
+		impl, types, err := r.resolve(m, tc)
 		if err != nil {
 			return nil, err
-		}
-		tc := cases[i]
-		if len(tc) != len(types) {
-			return nil, fmt.Errorf("core: case arity %d for %s (want %d)", len(tc), m.Name, len(types))
-		}
-		for pi, dt := range types {
-			if tc[pi] < 0 || tc[pi] >= len(dt.Values) {
-				return nil, fmt.Errorf("core: case index out of range for %s param %d", m.Name, pi)
-			}
 		}
 		var start time.Time
 		var ticks0 uint64
@@ -663,18 +666,9 @@ func (r *Runner) applyLoad(env *Env) {
 // the error code the call reported (errno or GetLastError) — used by the
 // Hindering-failure oracle, which must inspect codes, not just classes.
 func (r *Runner) RunProbe(m catalog.MuT, tc Case, wide bool) (RawClass, uint32, error) {
-	impl, ok := r.dispatch(m)
-	if !ok {
-		return RawSkip, 0, fmt.Errorf("%w for %s %q", ErrNoImpl, m.API, m.Name)
-	}
-	types, err := r.bind(m)
+	impl, types, err := r.resolve(m, tc)
 	if err != nil {
 		return RawSkip, 0, err
-	}
-	for i, dt := range types {
-		if tc[i] < 0 || tc[i] >= len(dt.Values) {
-			return RawSkip, 0, fmt.Errorf("core: case index out of range for %s param %d", m.Name, i)
-		}
 	}
 	cls, out := r.runCase(m, impl, types, tc, wide, -1)
 	if r.kernel != nil && r.kernel.Crashed() {

@@ -94,18 +94,9 @@ func scarceFired(snap chaos.Snapshot) uint64 {
 // the call, so bootstrap allocations must not consume them.  The
 // injector is detached again before Env cleanup for the same reason.
 func (r *Runner) RunScarceProbe(m catalog.MuT, tc Case, wide bool, plan *chaos.Plan) (*ScarceProbe, error) {
-	impl, ok := r.dispatch(m)
-	if !ok {
-		return nil, fmt.Errorf("%w for %s %q", ErrNoImpl, m.API, m.Name)
-	}
-	types, err := r.bind(m)
+	impl, types, err := r.resolve(m, tc)
 	if err != nil {
 		return nil, err
-	}
-	for i, dt := range types {
-		if tc[i] < 0 || tc[i] >= len(dt.Values) {
-			return nil, fmt.Errorf("core: case index out of range for %s param %d", m.Name, i)
-		}
 	}
 
 	k := r.machine()

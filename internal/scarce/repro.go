@@ -90,8 +90,13 @@ func ParseReproducer(data []byte) (*Reproducer, error) {
 	if rep.V != reproVersion {
 		return nil, fmt.Errorf("scarce: reproducer version %d (want %d)", rep.V, reproVersion)
 	}
-	if _, ok := muTByWire(rep.API, rep.MuT); !ok {
+	m, ok := muTByWire(rep.API, rep.MuT)
+	if !ok {
 		return nil, fmt.Errorf("scarce: reproducer names unknown MuT %s %q", rep.API, rep.MuT)
+	}
+	if len(rep.Case) != len(m.Params) {
+		return nil, fmt.Errorf("scarce: reproducer case has %d indices, %s takes %d parameters",
+			len(rep.Case), rep.MuT, len(m.Params))
 	}
 	if !rep.Env.Enabled() {
 		return nil, fmt.Errorf("scarce: reproducer environment enables no axis")

@@ -447,12 +447,13 @@ func TestReproducerRoundTripAndVerify(t *testing.T) {
 	}
 }
 
-// TestParseReproducerRejectsBadDocs: version, MuT, environment and OS
-// coverage are all checked.
+// TestParseReproducerRejectsBadDocs: version, MuT, case arity,
+// environment and OS coverage are all checked.
 func TestParseReproducerRejectsBadDocs(t *testing.T) {
 	good := &Reproducer{
 		V: reproVersion, API: "win32", MuT: "CreateEvent",
 		Env:  handleFull(),
+		Case: core.Case{0, 0, 0, 0},
 		OSes: []string{"winnt"},
 		Verdicts: map[string]*Verdict{
 			"winnt": {Degrade: DegradeGraceful},
@@ -471,10 +472,26 @@ func TestParseReproducerRejectsBadDocs(t *testing.T) {
 		"unknown OS":     func(s string) string { return strings.Replace(s, `"winnt"`, `"plan9"`, 2) },
 		"missing axis":   func(s string) string { return strings.Replace(s, `"handles": 0`, `"handles": -1`, 1) },
 		"orphan verdict": func(s string) string { return strings.Replace(s, `"oses": [`, `"oses": ["linux",`, 1) },
+		"short case":     func(s string) string { return strings.Replace(s, "0,\n    0,\n    0,\n    0\n", "0\n", 1) },
 	} {
 		if _, err := ParseReproducer([]byte(mangle(string(data)))); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+
+	// A corpus reproducer whose case lost an index names no test case;
+	// verifying it used to index past the end of the case.
+	corpus, err := LoadReproducer(filepath.Join("..", "..", "testdata", "corpus", "scarce", "scarce-051.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus.Case = corpus.Case[:1]
+	truncated, err := corpus.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseReproducer(truncated); err == nil {
+		t.Errorf("reproducer with truncated case %v accepted", corpus.Case)
 	}
 }
 
