@@ -614,7 +614,7 @@ func (f *Fuzzer) evalBatch(ctx context.Context, batch []Chain) ([]outcome, error
 		workers = runtime.GOMAXPROCS(0)
 	}
 	outs := make([]outcome, len(batch))
-	err := sweep.Each(ctx, len(batch), workers, func(i int) error {
+	err := sweep.Each(ctx, len(batch), workers, func(_, i int) error {
 		outs[i] = f.eval(batch[i])
 		return outs[i].err
 	})

@@ -78,7 +78,7 @@ func Run[T any](ctx context.Context, job Job[T]) ([]*T, error) {
 			todo = append(todo, i)
 		}
 	}
-	err := Each(ctx, len(todo), job.Workers, func(k int) error {
+	err := Each(ctx, len(todo), job.Workers, func(_, k int) error {
 		i := todo[k]
 		results[i] = job.Eval(i)
 		if jnl == nil {
@@ -134,13 +134,16 @@ func (job Job[T]) resume(results []*T) (*journal.Journal, error) {
 	return jnl, nil
 }
 
-// Each calls fn(i) for every i in [0, n) on up to workers goroutines
-// (values below 1 mean 1), handing out indices in increasing order.  It
-// stops handing out indices once ctx is done or a call fails, waits for
-// the calls in flight, and returns ctx's error, else the failure at the
-// lowest index — the same one whatever the worker count, because every
-// index below a failing one was handed out before it.
-func Each(ctx context.Context, n, workers int, fn func(i int) error) error {
+// Each calls fn(w, i) for every i in [0, n) on up to workers goroutines
+// (values below 1 mean 1), handing out indices in increasing order.  w
+// in [0, min(workers, n)) names the goroutine making the call, so a
+// caller can keep per-goroutine state indexed by w: no two calls with
+// the same w are ever in flight.  It stops handing out indices once ctx
+// is done or a call fails, waits for the calls in flight, and returns
+// ctx's error, else the failure at the lowest index — the same one
+// whatever the worker count, because every index below a failing one
+// was handed out before it.
+func Each(ctx context.Context, n, workers int, fn func(w, i int) error) error {
 	var (
 		next    atomic.Int64
 		stop    atomic.Bool
@@ -158,7 +161,7 @@ func Each(ctx context.Context, n, workers int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := fn(w, i); err != nil {
 					mu.Lock()
 					if i < firstAt {
 						first, firstAt = err, i

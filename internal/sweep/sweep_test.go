@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -89,7 +90,7 @@ func TestRunJournalChaos(t *testing.T) {
 // deterministic as the results.
 func TestEachReportsLowestFailingIndex(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
-		err := Each(context.Background(), 100, workers, func(i int) error {
+		err := Each(context.Background(), 100, workers, func(_, i int) error {
 			if i == 17 || i == 60 {
 				return fmt.Errorf("item %d", i)
 			}
@@ -97,6 +98,35 @@ func TestEachReportsLowestFailingIndex(t *testing.T) {
 		})
 		if err == nil || err.Error() != "item 17" {
 			t.Errorf("%d workers: Each returned %v, want item 17", workers, err)
+		}
+	}
+}
+
+// TestEachWorkerIndex pins the contract that lets a caller keep one
+// stateful executor per goroutine: every w lies in [0, min(workers, n)),
+// and calls with the same w never overlap.
+func TestEachWorkerIndex(t *testing.T) {
+	for _, c := range []struct{ n, workers int }{{100, 1}, {100, 4}, {3, 8}, {0, 2}} {
+		pool := max(1, min(c.workers, c.n))
+		busy := make([]atomic.Bool, pool)
+		var calls atomic.Int64
+		err := Each(context.Background(), c.n, c.workers, func(w, i int) error {
+			if w < 0 || w >= pool {
+				return fmt.Errorf("item %d ran on worker %d, want [0, %d)", i, w, pool)
+			}
+			if !busy[w].CompareAndSwap(false, true) {
+				return fmt.Errorf("item %d ran on worker %d while it was busy", i, w)
+			}
+			calls.Add(1)
+			runtime.Gosched()
+			busy[w].Store(false)
+			return nil
+		})
+		if err != nil {
+			t.Errorf("n=%d workers=%d: %v", c.n, c.workers, err)
+		}
+		if got := calls.Load(); got != int64(c.n) {
+			t.Errorf("n=%d workers=%d: %d calls, want %d", c.n, c.workers, got, c.n)
 		}
 	}
 }
