@@ -214,9 +214,9 @@ func RunAll(opts ...Option) (map[OS]*Result, error) {
 }
 
 // FarmConfig sizes a parallel campaign farm (see internal/farm): a pool
-// of workers, each owning its own simulated machine, sharing one MuT
-// catalog through a work-stealing queue — the software analogue of the
-// paper's bank of six physical test machines.
+// of workers, each owning its own simulated machine, taking MuT shards
+// from one catalog-ordered pool — the software analogue of the paper's
+// bank of six physical test machines.
 type FarmConfig struct {
 	// Workers is the pool size; <= 0 selects one worker per CPU.
 	Workers int

@@ -14,8 +14,8 @@
 // goroutine scheduling or global state.  A fresh Injector session is
 // created per simulated-machine boot, so a farm shard's fault stream
 // depends only on the shard — the same property that makes the farm's
-// work-stealing schedule deterministic keeps it deterministic under
-// injected faults.
+// parallel schedule deterministic keeps it deterministic under injected
+// faults.
 //
 // Two fault domains with different contracts:
 //

@@ -129,9 +129,6 @@ type ShardEvent struct {
 	Cases int
 	// Reboots counts machine reboots the shard forced on its worker.
 	Reboots int
-	// Stolen marks a shard the worker stole from another worker's queue
-	// rather than receiving in its initial partition.
-	Stolen bool
 	// Wall is host wall-clock time the shard consumed.
 	Wall time.Duration
 }

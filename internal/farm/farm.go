@@ -1,14 +1,15 @@
-// Package farm schedules one OS variant's campaign across a pool of
+// Package farm runs one OS variant's campaign across a pool of
 // parallel workers — the software analogue of the paper's bank of six
 // physical Windows test machines grinding through >2M cases for days.
-// Each worker owns its own simulated machine (kern.Kernel), the catalog
-// is sharded one MuT campaign per shard, and idle workers steal work
-// from busy ones, so a full sweep uses every core instead of one.
+// The catalog is sharded one MuT campaign per shard, and the shards run
+// on sweep.Each, the index-ordered pool shared with the other sweep
+// engines: each worker takes the next shard in catalog order and runs it
+// on its own Executor, so a full sweep uses every core instead of one.
 //
 // Two properties the paper's hardware could not offer:
 //
 //   - Determinism: every shard starts on a freshly booted kernel, so the
-//     merged OSResult is identical for any worker count and any steal
+//     merged OSResult is identical for any worker count and any
 //     schedule — results land in stable catalog order and per-shard
 //     reboot counts are summed.  Case generation is already seeded by
 //     MuT name alone, so a shard's outcome depends only on the shard.
@@ -25,13 +26,12 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"ballista/internal/catalog"
 	"ballista/internal/chaos"
 	"ballista/internal/core"
 	"ballista/internal/osprofile"
+	"ballista/internal/sweep"
 )
 
 // Config configures a parallel campaign.  The embedded core.Config is
@@ -54,10 +54,6 @@ type Farm struct {
 	fixture  core.Fixture
 	profile  *osprofile.Profile
 
-	// Steals counts shards executed off another worker's partition in
-	// the most recent Run (telemetry, reset per run).
-	steals atomic.Uint64
-
 	// spanParent is the most recent Run's campaign span, the parent
 	// every shard span links under (written once before workers start).
 	spanParent uint64
@@ -69,8 +65,8 @@ type Farm struct {
 }
 
 // Quarantine records one harness fault: a shard whose worker panicked.
-// The shard is re-enqueued (up to maxShardAttempts), so a quarantine is
-// an incident report, not a lost result.
+// The shard is retried in place (up to maxShardAttempts), so a
+// quarantine is an incident report, not a lost result.
 type Quarantine struct {
 	Shard   int    `json:"shard"`
 	MuT     string `json:"mut"`
@@ -85,13 +81,6 @@ type Quarantine struct {
 // forever.
 const maxShardAttempts = 3
 
-// shard is one unit of scheduling: a wire descriptor plus its resolved
-// catalog entry.
-type shard struct {
-	desc ShardDesc
-	m    catalog.MuT
-}
-
 // New assembles a farm from the same pieces core.NewRunner takes.
 func New(cfg Config, reg *core.Registry, dispatch core.Dispatcher, fixture core.Fixture) *Farm {
 	if cfg.Cap <= 0 {
@@ -103,10 +92,6 @@ func New(cfg Config, reg *core.Registry, dispatch core.Dispatcher, fixture core.
 	}
 	return &Farm{cfg: cfg, reg: reg, dispatch: dispatch, fixture: fixture, profile: profile}
 }
-
-// Steals reports how many shards the most recent Run executed on a
-// worker other than the one they were partitioned to.
-func (f *Farm) Steals() uint64 { return f.steals.Load() }
 
 // Quarantined reports the harness faults isolated during the most
 // recent Run, in the order they occurred.
@@ -125,34 +110,19 @@ func (f *Farm) addQuarantine(q Quarantine) {
 	_, _ = f.cfg.Spans.Dump("quarantine")
 }
 
-// shards lists the campaign's schedule in the exact order a sequential
-// Runner.RunAll visits it (see ShardDescs), with each descriptor's MuT
-// resolved against the catalog.
-func (f *Farm) shards() []shard {
-	descs := shardDescs(f.cfg.OS, f.profile)
-	index := make(map[string]catalog.MuT)
-	for _, m := range catalog.MuTsFor(f.cfg.OS) {
-		index[m.Name] = m
-	}
-	out := make([]shard, len(descs))
-	for i, d := range descs {
-		out[i] = shard{desc: d, m: index[d.MuT]}
-	}
-	return out
-}
-
 // Run executes the sharded campaign and merges per-worker results into
 // an OSResult identical to a sequential Runner.RunAll: results in stable
 // catalog order, CasesRun summed over executed cases, Reboots summed
 // over per-shard reboot epochs.  Cancelling ctx stops every worker at
 // its next test-case boundary; with a checkpoint configured the
-// campaign is resumable from the journal.
+// campaign is resumable from the journal.  A failed checkpoint append
+// stops the pool handing out shards; the workers finish the shards in
+// flight, and Run returns the error of the lowest failing shard.
 func (f *Farm) Run(ctx context.Context) (*core.OSResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	f.steals.Store(0)
 	f.qmu.Lock()
 	f.quarantined = nil
 	f.qmu.Unlock()
@@ -170,24 +140,20 @@ func (f *Farm) Run(ctx context.Context) (*core.OSResult, error) {
 	defer cs.End()
 	f.spanParent = cs.ID()
 
-	sh := f.shards()
-	results := make([]*core.MuTResult, len(sh))
-	rebootsBy := make([]int, len(sh))
+	descs := shardDescs(f.cfg.OS, f.profile)
+	results := make([]*core.MuTResult, len(descs))
+	rebootsBy := make([]int, len(descs))
 
 	// Resume: restore finished shards from the journal, then keep it
 	// open for appending this run's completions.
 	var jnl *Journal
 	if f.cfg.Checkpoint != "" {
-		descs := make([]ShardDesc, len(sh))
-		for i, s := range sh {
-			descs[i] = s.desc
-		}
 		done, err := LoadJournal(f.cfg.Checkpoint, f.cfg.OS.WireName(), f.cfg.Cap, descs)
 		if err != nil {
 			return nil, err
 		}
 		for idx, sr := range done {
-			res, err := sr.Decode(f.cfg.OS, sh[idx].desc)
+			res, err := sr.Decode(f.cfg.OS, descs[idx])
 			if err != nil {
 				return nil, err
 			}
@@ -203,9 +169,9 @@ func (f *Farm) Run(ctx context.Context) (*core.OSResult, error) {
 	}
 
 	var pending []int
-	for _, s := range sh {
-		if results[s.desc.Index] == nil {
-			pending = append(pending, s.desc.Index)
+	for i, res := range results {
+		if res == nil {
+			pending = append(pending, i)
 		}
 	}
 
@@ -213,14 +179,47 @@ func (f *Farm) Run(ctx context.Context) (*core.OSResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-
-	if len(pending) > 0 {
-		if err := f.runWorkers(ctx, workers, pending, sh, results, rebootsBy, jnl, hinj); err != nil {
-			return nil, err
+	// Worker w runs its shards on execs[w], booted on its first shard;
+	// the executors share one MuT index.
+	index := mutIndex(f.cfg.OS)
+	execs := make([]*Executor, workers)
+	shardObs, _ := f.cfg.Observer.(core.ShardObserver)
+	err := sweep.Each(ctx, len(pending), workers, func(w, k int) error {
+		if execs[w] == nil {
+			execs[w] = &Executor{cfg: f.cfg, reg: f.reg, dispatch: f.dispatch, fixture: f.fixture, index: index}
 		}
+		d := descs[pending[k]]
+		shardStart := time.Now()
+		res, reboots, err := f.runShard(ctx, execs[w], w, d, hinj)
+		if err != nil {
+			return err
+		}
+		if res == nil {
+			// Persistent harness fault: surface the shard as Incomplete
+			// rather than retrying forever.  Left out of the journal so a
+			// later resume re-attempts it.
+			results[d.Index] = &core.MuTResult{MuT: index[d.MuT], Wide: d.Wide, Incomplete: true}
+			return nil
+		}
+		results[d.Index], rebootsBy[d.Index] = res, reboots
+		if jnl != nil {
+			err := jnl.Append(f.cfg.OS.WireName(), f.cfg.Cap, d, EncodeShardResult(res, reboots), w, false)
+			if err != nil {
+				return fmt.Errorf("farm: checkpointing shard %d: %w", d.Index, err)
+			}
+		}
+		if shardObs != nil {
+			shardObs.OnShardDone(core.ShardEvent{
+				OS: f.cfg.OS.WireName(), Worker: w, Shard: d.Index,
+				MuT: d.MuT, Wide: d.Wide,
+				Cases: res.Executed(), Reboots: reboots,
+				Wall: time.Since(shardStart),
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	out := &core.OSResult{OS: f.profile.Name}
@@ -240,176 +239,39 @@ func (f *Farm) Run(ctx context.Context) (*core.OSResult, error) {
 	return out, nil
 }
 
-// runWorkers partitions pending shards contiguously across the pool and
-// lets workers execute (and steal) until the queues drain or ctx stops
-// the campaign.
-func (f *Farm) runWorkers(ctx context.Context, workers int, pending []int,
-	sh []shard, results []*core.MuTResult, rebootsBy []int, jnl *Journal, hinj *chaos.Injector) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Per-shard harness-fault attempt counts (panic isolation).
-	attempts := make([]int32, len(sh))
-
-	// Contiguous partitions: worker w owns a consecutive slice of the
-	// catalog, like one physical machine owning one stack of test
-	// sheets.  Stealing rebalances when the slices prove uneven.
-	queues := make([]*deque, workers)
-	per := (len(pending) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := min(lo+per, len(pending))
-		queues[w] = &deque{}
-		if lo < hi {
-			queues[w].push(pending[lo:hi]...)
-		}
-	}
-
-	shardObs, _ := f.cfg.Observer.(core.ShardObserver)
-
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = f.worker(ctx, w, queues, sh, results, rebootsBy, jnl, shardObs, hinj, attempts)
-			if errs[w] != nil {
-				cancel() // one worker down ends the campaign
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// Prefer a real failure over the cancellation it propagated.
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if first == nil || (first == context.Canceled && err != context.Canceled) {
-			first = err
-		}
-	}
-	if first == context.Canceled && ctx.Err() != nil {
-		first = ctx.Err()
-	}
-	return first
-}
-
-// worker drains its own queue front-to-back, then steals the back half
-// of the fullest victim queue until no work remains anywhere.  A shard
-// whose execution panics (harness fault, injected or real) is isolated:
-// the panic is recovered, the shard quarantined and re-enqueued at the
-// worker's own tail, and the campaign continues on a fresh runner.
-func (f *Farm) worker(ctx context.Context, id int, queues []*deque,
-	sh []shard, results []*core.MuTResult, rebootsBy []int, jnl *Journal,
-	shardObs core.ShardObserver, hinj *chaos.Injector, attempts []int32) error {
-	runner := core.NewRunner(f.cfg.Config, f.reg, f.dispatch, f.fixture)
-	own := queues[id]
-	stolen := false
-	for {
-		idx, ok := own.popFront()
-		if !ok {
-			victim := -1
-			best := 0
-			for v, q := range queues {
-				if v == id {
-					continue
+// runShard runs one shard on worker w's executor with panic isolation,
+// retrying in place.  A recovered panic, injected or real, quarantines
+// the attempt and drops the executor's runner, whose machine state is
+// suspect, so the next attempt boots a fresh one.  A nil result with a
+// nil error means every attempt panicked.
+func (f *Farm) runShard(ctx context.Context, ex *Executor, w int, d ShardDesc,
+	hinj *chaos.Injector) (res *core.MuTResult, reboots int, err error) {
+	for attempt := 1; attempt <= maxShardAttempts && res == nil && err == nil; attempt++ {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					f.addQuarantine(Quarantine{
+						Shard: d.Index, MuT: d.MuT, Wide: d.Wide, Worker: w,
+						Attempt: attempt, Reason: fmt.Sprint(r),
+					})
+					ex.runner = nil
 				}
-				if n := q.size(); n > best {
-					victim, best = v, n
-				}
+			}()
+			// Injected harness fault: a worker panic just before the
+			// shard runs, recovered by the same isolation path as a real
+			// one.
+			if _, ok := hinj.Fault(chaos.OpWorkerPanic, d.MuT); ok {
+				panic("chaos: injected worker panic")
 			}
-			if victim < 0 {
-				return nil // every queue is dry
+			ss := f.cfg.Spans.Start("shard", d.MuT).
+				SetParent(f.spanParent).SetOS(f.cfg.OS.WireName()).SetWorker(strconv.Itoa(w))
+			ex.SetSpanParent(ss.ID())
+			res, reboots, err = ex.run(ctx, d)
+			if err != nil {
+				ss.SetDetail("error")
 			}
-			loot := queues[victim].stealHalf()
-			if len(loot) == 0 {
-				continue // lost the race; rescan
-			}
-			own.push(loot...)
-			stolen = true
-			continue
-		}
-		panicked, err := f.runShardSafe(ctx, &runner, id, sh[idx], stolen, results, rebootsBy, jnl, shardObs, hinj, attempts)
-		if err != nil {
-			return err
-		}
-		if panicked {
-			if atomic.AddInt32(&attempts[idx], 1) >= maxShardAttempts {
-				// Persistent harness fault: surface the shard as
-				// Incomplete rather than retrying forever.  Left out of
-				// the journal so a later resume re-attempts it.
-				results[idx] = &core.MuTResult{MuT: sh[idx].m, Wide: sh[idx].desc.Wide, Incomplete: true}
-				rebootsBy[idx] = 0
-				continue
-			}
-			own.push(idx)
-		}
+			ss.End()
+		}()
 	}
-}
-
-// runShardSafe runs one shard with panic isolation.  A recovered panic
-// quarantines the shard and replaces the worker's runner (its machine
-// state is suspect); the shard itself is the caller's to re-enqueue.
-func (f *Farm) runShardSafe(ctx context.Context, runner **core.Runner, id int, s shard, stolen bool,
-	results []*core.MuTResult, rebootsBy []int, jnl *Journal,
-	shardObs core.ShardObserver, hinj *chaos.Injector, attempts []int32) (panicked bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-			err = nil
-			f.addQuarantine(Quarantine{
-				Shard: s.desc.Index, MuT: s.m.Name, Wide: s.desc.Wide, Worker: id,
-				Attempt: int(atomic.LoadInt32(&attempts[s.desc.Index])) + 1,
-				Reason:  fmt.Sprint(r),
-			})
-			*runner = core.NewRunner(f.cfg.Config, f.reg, f.dispatch, f.fixture)
-		}
-	}()
-	// Injected harness fault: a worker panic just before the shard runs,
-	// recovered by the same isolation path as a real one.
-	if _, ok := hinj.Fault(chaos.OpWorkerPanic, s.m.Name); ok {
-		panic("chaos: injected worker panic")
-	}
-	return false, f.runShard(ctx, *runner, id, s, stolen, results, rebootsBy, jnl, shardObs)
-}
-
-// runShard executes one shard on a freshly booted machine, records the
-// result, and journals it.
-func (f *Farm) runShard(ctx context.Context, runner *core.Runner, id int, s shard, stolen bool,
-	results []*core.MuTResult, rebootsBy []int, jnl *Journal, shardObs core.ShardObserver) error {
-	start := time.Now()
-	ss := f.cfg.Spans.Start("shard", s.m.Name).
-		SetParent(f.spanParent).SetOS(f.cfg.OS.WireName()).SetWorker(strconv.Itoa(id))
-	runner.SetSpanParent(ss.ID())
-	res, err := runner.RunMuT(ctx, s.m, s.desc.Wide)
-	if err != nil {
-		ss.SetDetail("error").End()
-		return err
-	}
-	reboots := runner.ResetMachine()
-	ss.End()
-	results[s.desc.Index] = res
-	rebootsBy[s.desc.Index] = reboots
-
-	if jnl != nil {
-		err := jnl.Append(f.cfg.OS.WireName(), f.cfg.Cap, s.desc, EncodeShardResult(res, reboots), id, stolen)
-		if err != nil {
-			return fmt.Errorf("farm: checkpointing shard %d: %w", s.desc.Index, err)
-		}
-	}
-	if stolen {
-		f.steals.Add(1)
-	}
-	if shardObs != nil {
-		shardObs.OnShardDone(core.ShardEvent{
-			OS: f.cfg.OS.WireName(), Worker: id, Shard: s.desc.Index,
-			MuT: s.m.Name, Wide: s.desc.Wide,
-			Cases: res.Executed(), Reboots: reboots,
-			Stolen: stolen, Wall: time.Since(start),
-		})
-	}
-	return nil
+	return res, reboots, err
 }

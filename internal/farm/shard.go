@@ -142,11 +142,16 @@ func NewExecutor(cfg Config, reg *core.Registry, dispatch core.Dispatcher, fixtu
 	if cfg.Cap <= 0 {
 		cfg.Cap = core.DefaultCap
 	}
+	return &Executor{cfg: cfg, reg: reg, dispatch: dispatch, fixture: fixture, index: mutIndex(cfg.OS)}
+}
+
+// mutIndex maps the names of o's catalog MuTs to their entries.
+func mutIndex(o osprofile.OS) map[string]catalog.MuT {
 	index := make(map[string]catalog.MuT)
-	for _, m := range catalog.MuTsFor(cfg.OS) {
+	for _, m := range catalog.MuTsFor(o) {
 		index[m.Name] = m
 	}
-	return &Executor{cfg: cfg, reg: reg, dispatch: dispatch, fixture: fixture, index: index}
+	return index
 }
 
 // SetSpanParent links the runner's mut spans under an enclosing span —
@@ -156,9 +161,21 @@ func (e *Executor) SetSpanParent(id uint64) { e.spanParent = id }
 // RunShard executes one descriptor on a freshly booted machine and packs
 // its outcome.
 func (e *Executor) RunShard(ctx context.Context, d ShardDesc) (ShardResult, error) {
+	res, reboots, err := e.run(ctx, d)
+	if err != nil {
+		return ShardResult{}, err
+	}
+	return EncodeShardResult(res, reboots), nil
+}
+
+// run executes one descriptor on the executor's runner, booting it on
+// first use, and resets the machine afterwards so the next shard starts
+// fresh.  It returns the shard's result and the reboot count of its
+// machine epoch.
+func (e *Executor) run(ctx context.Context, d ShardDesc) (*core.MuTResult, int, error) {
 	m, ok := e.index[d.MuT]
 	if !ok {
-		return ShardResult{}, fmt.Errorf("farm: shard %d: %q is not tested on %s", d.Index, d.MuT, e.cfg.OS)
+		return nil, 0, fmt.Errorf("farm: shard %d: %q is not tested on %s", d.Index, d.MuT, e.cfg.OS)
 	}
 	if e.runner == nil {
 		e.runner = core.NewRunner(e.cfg.Config, e.reg, e.dispatch, e.fixture)
@@ -166,8 +183,7 @@ func (e *Executor) RunShard(ctx context.Context, d ShardDesc) (ShardResult, erro
 	e.runner.SetSpanParent(e.spanParent)
 	res, err := e.runner.RunMuT(ctx, m, d.Wide)
 	if err != nil {
-		return ShardResult{}, err
+		return nil, 0, err
 	}
-	reboots := e.runner.ResetMachine()
-	return EncodeShardResult(res, reboots), nil
+	return res, e.runner.ResetMachine(), nil
 }

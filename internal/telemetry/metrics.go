@@ -65,12 +65,11 @@ type Metrics struct {
 	// under concurrent test do not clobber each other.
 	kernel map[string]core.KernelSample
 
-	// Farm attribution: per-worker shard/case/reboot counters and the
-	// steal total, keyed by worker label ("0", "1", ...).
+	// Farm attribution: per-worker shard/case/reboot counters, keyed by
+	// worker label ("0", "1", ...).
 	farmShards  map[string]uint64
 	farmCases   map[string]uint64
 	farmReboots map[string]uint64
-	farmSteals  uint64
 
 	// Sequence-fuzzer counters: candidate chains evaluated, chains that
 	// reached a novel kernel-state fingerprint (the coverage frontier),
@@ -211,9 +210,6 @@ func (m *Metrics) OnShardDone(ev core.ShardEvent) {
 	m.farmShards[w]++
 	m.farmCases[w] += uint64(ev.Cases)
 	m.farmReboots[w] += uint64(ev.Reboots)
-	if ev.Stolen {
-		m.farmSteals++
-	}
 }
 
 // OnChainDone implements core.ChainObserver: sequence-fuzzing campaigns
@@ -502,9 +498,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s{worker=%q} %d\n", series.metric, wk, series.counts[wk])
 		}
 	}
-	fmt.Fprintf(w, "# HELP ballista_farm_steals_total Shards executed off another worker's partition.\n")
-	fmt.Fprintf(w, "# TYPE ballista_farm_steals_total counter\n")
-	fmt.Fprintf(w, "ballista_farm_steals_total %d\n", m.farmSteals)
 
 	// Sequence-fuzzer series.
 	for _, series := range []struct {

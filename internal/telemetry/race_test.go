@@ -38,7 +38,7 @@ func hammerObserver(t *testing.T, obs core.Observer, read func()) {
 				if shardObs != nil {
 					shardObs.OnShardDone(core.ShardEvent{
 						OS: "winnt", Worker: w, Shard: i, MuT: "ReadFile",
-						Cases: 10, Stolen: w%2 == 0,
+						Cases: 10,
 					})
 				}
 			}

@@ -55,11 +55,10 @@ type TraceRecord struct {
 	// Reboots totals machine restarts ("campaign" and "shard" records).
 	Reboots int `json:"reboots,omitempty"`
 
-	// Worker/Shard/Stolen attribute a "shard" record to the farm worker
-	// that completed it.
+	// Worker/Shard attribute a "shard" record to the farm worker that
+	// completed it.
 	Worker *int `json:"worker,omitempty"`
 	Shard  *int `json:"shard,omitempty"`
-	Stolen bool `json:"stolen,omitempty"`
 
 	// Chain fields ("chain" records from the sequence fuzzer).  Steps is
 	// the candidate chain itself — the record replays through
@@ -223,7 +222,7 @@ func shardRecord(ev core.ShardEvent) TraceRecord {
 	return TraceRecord{
 		Type: "shard", OS: ev.OS, MuT: ev.MuT, Wide: ev.Wide,
 		Cases: ev.Cases, Reboots: ev.Reboots,
-		Worker: &worker, Shard: &shard, Stolen: ev.Stolen,
+		Worker: &worker, Shard: &shard,
 		WallNS: ev.Wall.Nanoseconds(),
 	}
 }
