@@ -117,13 +117,13 @@ func MergeShardResults(o osprofile.OS, descs []ShardDesc, results []ShardResult)
 	return out, nil
 }
 
-// Executor runs shard descriptors on demand — the execution engine a
-// fleet worker wraps around the same pieces a Farm is built from.  It
-// owns one runner whose machine is reset between shards, so every shard
-// starts on a freshly booted kernel and its outcome depends only on the
+// Executor runs shard descriptors on demand — the execution engine
+// behind every farm worker and every fleet worker slot.  It owns one
+// runner whose machine is reset between shards, so every shard starts
+// on a freshly booted kernel and its outcome depends only on the
 // descriptor (the farm's determinism contract), no matter which process
-// runs it or in what order.  Not safe for concurrent use; a worker
-// running leases in parallel owns one Executor per slot.
+// runs it or in what order.  Not safe for concurrent use; a farm or a
+// fleet worker running shards in parallel owns one Executor per worker.
 type Executor struct {
 	cfg      Config
 	reg      *core.Registry

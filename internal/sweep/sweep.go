@@ -4,7 +4,7 @@
 // the results back in enumeration order, then dedupe, minimize and
 // re-dedupe the findings.  Engines keep only their enumeration,
 // evaluation and report.  Each, the pool itself, also runs explore's
-// candidate batches.
+// candidate batches and the farm's shards.
 package sweep
 
 import (
