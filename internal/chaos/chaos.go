@@ -67,7 +67,8 @@ const (
 	// reaches the disk and the write errors).
 	OpCkptWrite Op = "ckpt.write"
 	// OpWorkerPanic panics a farm worker at a shard boundary (harness
-	// domain); the farm quarantines and re-enqueues the shard.
+	// domain); the farm quarantines the attempt and retries the shard in
+	// place.
 	OpWorkerPanic Op = "worker.panic"
 	// OpNetDrop drops one fleet RPC on the client side before it is sent
 	// (harness domain); the fleet client retries with jittered capped

@@ -2,6 +2,7 @@ package crashsim
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -226,5 +227,41 @@ func TestSweepReportShape(t *testing.T) {
 		if !f.Interesting() {
 			t.Errorf("finding %s is neither divergent nor violating", f.Workload.Key())
 		}
+	}
+}
+
+// TestVerdictInternerSharesEqualVerdicts: interning leaves every verdict
+// equal to what Evaluate returned, and equal verdicts — across profiles
+// and across workloads — become one shared value.
+func TestVerdictInternerSharesEqualVerdicts(t *testing.T) {
+	oses := osprofile.All()
+	var in verdictInterner
+	var findings, fresh []*Finding
+	for _, w := range Enumerate(nil, 2, 7, 40) {
+		findings = append(findings, Evaluate(w, nil, oses))
+		fresh = append(fresh, Evaluate(w, nil, oses))
+	}
+	for _, f := range findings {
+		in.intern(f)
+	}
+	byContent := make(map[string]*Verdict)
+	shared := 0
+	for i, f := range findings {
+		if !reflect.DeepEqual(f.Verdicts, fresh[i].Verdicts) {
+			t.Fatalf("interning changed the verdicts of %s", f.Workload.Key())
+		}
+		for _, v := range f.Verdicts {
+			key := fmt.Sprintf("%q", *v)
+			if first, ok := byContent[key]; !ok {
+				byContent[key] = v
+			} else if first != v {
+				t.Fatalf("two equal verdicts of %s are distinct values", f.Workload.Key())
+			} else {
+				shared++
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no verdict repeated; the test proves nothing")
 	}
 }

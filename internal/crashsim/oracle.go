@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"ballista/internal/osprofile"
 )
@@ -44,6 +47,55 @@ func (v *Verdict) violating() bool {
 	return false
 }
 
+// appendKey appends an encoding of v that two verdicts share exactly
+// when they are equal: NUL ends each token, 1 ends each field and 2
+// each crash point's violation set.
+func (v *Verdict) appendKey(b []byte) []byte {
+	for _, r := range v.Results {
+		b = append(append(b, r...), 0)
+	}
+	b = append(b, 1)
+	for _, n := range v.States {
+		b = append(strconv.AppendInt(b, int64(n), 10), 0)
+	}
+	b = append(b, 1)
+	for _, vs := range v.Violations {
+		for _, name := range vs {
+			b = append(append(b, name...), 0)
+		}
+		b = append(b, 2)
+	}
+	return b
+}
+
+// verdictInterner hands out one shared *Verdict per distinct verdict.
+// A sweep retains every interesting finding until its merge, seven
+// verdicts each, and most of those verdicts repeat across workloads and
+// profiles.  Safe for concurrent use.
+type verdictInterner struct {
+	mu sync.Mutex
+	m  map[string]*Verdict
+}
+
+// intern replaces each of f's verdicts with the shared equal one,
+// making it the shared one when it is the first of its kind.
+func (in *verdictInterner) intern(f *Finding) {
+	var buf [512]byte
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.m == nil {
+		in.m = make(map[string]*Verdict)
+	}
+	for name, v := range f.Verdicts {
+		key := v.appendKey(buf[:0])
+		if shared, ok := in.m[string(key)]; ok {
+			f.Verdicts[name] = shared
+		} else {
+			in.m[string(key)] = v
+		}
+	}
+}
+
 // Finding is one evaluated workload: its per-OS verdicts and the
 // differential analysis over them.
 type Finding struct {
@@ -58,11 +110,17 @@ type Finding struct {
 // either the OS set diverged, or an invariant was violated somewhere.
 func (f *Finding) Interesting() bool { return f.Divergent || f.Violating }
 
+// evaluations counts Evaluate calls, for the gate that a sweep
+// evaluates each workload exactly once.
+var evaluations atomic.Int64
+
 // Evaluate replays one workload across the OS set and runs the full
 // crash-state enumeration and invariant check on each profile.  It is a
 // pure function of (w, names, oses): sweeps stay deterministic for any
-// worker count because evaluation order cannot matter.
+// worker count because evaluation order cannot matter.  Nothing changes
+// the returned verdicts afterwards, so findings may share equal ones.
 func Evaluate(w Workload, names []string, oses []osprofile.OS) *Finding {
+	evaluations.Add(1)
 	if len(names) == 0 {
 		names = DefaultNames()
 	}
@@ -153,13 +211,25 @@ func essence(f *Finding, oses []osprofile.OS) string {
 }
 
 // Minimize greedily drops workload ops while the finding's essence
-// (divergence and per-OS violation sets) is preserved, re-evaluating
-// after each candidate drop.  Deterministic: ops are tried in order,
-// first successful drop wins each round.
+// (divergence and per-OS violation sets) is preserved, evaluating each
+// candidate afresh.  Deterministic: ops are tried in order, first
+// successful drop wins each round.  Sweep runs the same greedy search
+// over the results it already holds.
 func Minimize(f *Finding, names []string, oses []osprofile.OS) *Finding {
 	if len(oses) == 0 {
 		oses = osprofile.All()
 	}
+	m, _ := minimize(f, oses, func(w Workload) (*Finding, error) {
+		return Evaluate(w, names, oses), nil
+	})
+	return m
+}
+
+// minimize is the greedy search: each round drops the first op whose
+// one-op-shorter candidate is interesting with f's essence.  eval
+// returns a candidate's finding, or nil for an uninteresting candidate;
+// its error ends the search.
+func minimize(f *Finding, oses []osprofile.OS, eval func(Workload) (*Finding, error)) (*Finding, error) {
 	want := essence(f, oses)
 	cur := f
 	for len(cur.Workload.Ops) > 1 {
@@ -168,8 +238,11 @@ func Minimize(f *Finding, names []string, oses []osprofile.OS) *Finding {
 			ops := make([]Op, 0, len(cur.Workload.Ops)-1)
 			ops = append(ops, cur.Workload.Ops[:i]...)
 			ops = append(ops, cur.Workload.Ops[i+1:]...)
-			cand := Evaluate(Workload{Seed: cur.Workload.Seed, Ops: ops}, names, oses)
-			if cand.Interesting() && essence(cand, oses) == want {
+			cand, err := eval(Workload{Seed: cur.Workload.Seed, Ops: ops})
+			if err != nil {
+				return nil, err
+			}
+			if cand != nil && cand.Interesting() && essence(cand, oses) == want {
 				cur = cand
 				dropped = true
 				break
@@ -179,5 +252,5 @@ func Minimize(f *Finding, names []string, oses []osprofile.OS) *Finding {
 			break
 		}
 	}
-	return cur
+	return cur, nil
 }

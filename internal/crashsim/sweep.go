@@ -62,7 +62,9 @@ type wlResult struct {
 	Finding     *Finding `json:"f,omitempty"` // only when interesting
 }
 
-func evalOne(w Workload, names []string, oses []osprofile.OS) *wlResult {
+// evalOne evaluates w and sums its verdicts.  An interesting finding is
+// kept, its verdicts shared through in.
+func evalOne(w Workload, names []string, oses []osprofile.OS, in *verdictInterner) *wlResult {
 	f := Evaluate(w, names, oses)
 	r := &wlResult{CrashPoints: len(w.Ops)}
 	for _, v := range f.Verdicts {
@@ -74,6 +76,7 @@ func evalOne(w Workload, names []string, oses []osprofile.OS) *wlResult {
 		}
 	}
 	if f.Interesting() {
+		in.intern(f)
 		r.Finding = f
 	}
 	return r
@@ -95,8 +98,9 @@ func sweepID(cfg Config, names []string, oses []osprofile.OS, workloads int) str
 // Sweep enumerates the bounded workload set and evaluates every chain
 // across the OS set: per-profile crash-state enumeration, invariant
 // checks, differential comparison.  Findings are deduplicated by
-// signature and minimized.  The report is identical for any worker
-// count and across a kill+resume through the checkpoint journal.
+// signature and minimized from the sweep's own results, with no further
+// evaluation.  The report is identical for any worker count and across a
+// kill+resume through the checkpoint journal.
 func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 	oses := cfg.OSes
 	if len(oses) == 0 {
@@ -116,6 +120,7 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 		fmt.Sprintf("seed=%d max_ops=%d oses=%d workloads=%d", cfg.Seed, maxOps, len(oses), len(workloads)))
 	defer parent.End()
 
+	var verdicts verdictInterner
 	results, err := sweep.Run(ctx, sweep.Job[wlResult]{
 		Kind: "crashsweep", Unit: "workload",
 		ID: sweepID(cfg, names, oses, len(workloads)),
@@ -123,7 +128,7 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 		Eval: func(i int) *wlResult {
 			ws := cfg.Spans.StartSampled("crashwl", workloads[i].Key()).SetParent(parent.ID())
 			defer ws.End()
-			return evalOne(workloads[i], names, oses)
+			return evalOne(workloads[i], names, oses, &verdicts)
 		},
 	})
 	if err != nil {
@@ -162,7 +167,25 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 			obs.OnCrashDone(ev)
 		}
 	}
-	rep.Findings = found.Minimize(func(f *Finding) *Finding { return Minimize(f, names, oses) })
+	// Minimize from the results: Enumerate is exhaustive and emits every
+	// shorter workload before a longer one, even under a budget cut, so
+	// each one-op-shorter candidate was evaluated above.
+	index := make(map[string]int, len(workloads))
+	for i, w := range workloads {
+		index[w.Key()] = i
+	}
+	rep.Findings, err = found.Minimize(func(f *Finding) (*Finding, error) {
+		return minimize(f, oses, func(w Workload) (*Finding, error) {
+			i, ok := index[w.Key()]
+			if !ok {
+				return nil, fmt.Errorf("crashsim: minimization candidate %s is not in the sweep", w.Key())
+			}
+			return results[i].Finding, nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
 	cfg.Spans.Instant("crashsweep", "done",
 		fmt.Sprintf("findings=%d divergent=%d violating=%d states=%d",
 			len(rep.Findings), rep.Divergent, rep.Violating, rep.States))

@@ -60,8 +60,8 @@ func TestFarmAbsorbsRetryableHarnessFaults(t *testing.T) {
 
 // TestFarmWorkerPanicQuarantine drives panics hard (every other shard
 // attempt) and checks the isolation machinery: each panic is recorded as
-// a quarantined harness-fault case, the shard is re-enqueued, and the
-// merged report still matches the fault-free run.
+// a quarantined harness-fault case, the shard is retried in place, and
+// the merged report still matches the fault-free run.
 func TestFarmWorkerPanicQuarantine(t *testing.T) {
 	plan := &chaos.Plan{Seed: 3, Rules: []chaos.Rule{
 		{Op: chaos.OpWorkerPanic, RatePerMille: 500, Transient: true},

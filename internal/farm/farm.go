@@ -179,14 +179,12 @@ func (f *Farm) Run(ctx context.Context) (*core.OSResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Worker w runs its shards on execs[w], booted on its first shard;
-	// the executors share one MuT index.
-	index := mutIndex(f.cfg.OS)
+	// Worker w runs its shards on execs[w], booted on its first shard.
 	execs := make([]*Executor, workers)
 	shardObs, _ := f.cfg.Observer.(core.ShardObserver)
 	err := sweep.Each(ctx, len(pending), workers, func(w, k int) error {
 		if execs[w] == nil {
-			execs[w] = &Executor{cfg: f.cfg, reg: f.reg, dispatch: f.dispatch, fixture: f.fixture, index: index}
+			execs[w] = &Executor{cfg: f.cfg, reg: f.reg, dispatch: f.dispatch, fixture: f.fixture}
 		}
 		d := descs[pending[k]]
 		shardStart := time.Now()
@@ -198,7 +196,8 @@ func (f *Farm) Run(ctx context.Context) (*core.OSResult, error) {
 			// Persistent harness fault: surface the shard as Incomplete
 			// rather than retrying forever.  Left out of the journal so a
 			// later resume re-attempts it.
-			results[d.Index] = &core.MuTResult{MuT: index[d.MuT], Wide: d.Wide, Incomplete: true}
+			m, _ := lookupMuT(f.cfg.OS, d.MuT) // d comes from the OS's own catalog
+			results[d.Index] = &core.MuTResult{MuT: m, Wide: d.Wide, Incomplete: true}
 			return nil
 		}
 		results[d.Index], rebootsBy[d.Index] = res, reboots

@@ -3,6 +3,9 @@ package farm
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 
 	"ballista/internal/catalog"
 	"ballista/internal/core"
@@ -63,9 +66,9 @@ func EncodeShardResult(res *core.MuTResult, reboots int) ShardResult {
 }
 
 // Decode unpacks the result against its descriptor, resolving the MuT
-// from o's catalog and validating the packed strings.
+// through the shared MuT index and validating the packed strings.
 func (sr ShardResult) Decode(o osprofile.OS, d ShardDesc) (*core.MuTResult, error) {
-	m, ok := mutByName(o, d.MuT)
+	m, ok := lookupMuT(o, d.MuT)
 	if !ok {
 		return nil, fmt.Errorf("farm: shard %d: %q is not tested on %s", d.Index, d.MuT, o)
 	}
@@ -84,15 +87,6 @@ func (sr ShardResult) Decode(o osprofile.OS, d ShardDesc) (*core.MuTResult, erro
 		Exceptional: decodeFlags(sr.Exceptional),
 		Incomplete:  sr.Incomplete,
 	}, nil
-}
-
-func mutByName(o osprofile.OS, name string) (catalog.MuT, bool) {
-	for _, m := range catalog.MuTsFor(o) {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return catalog.MuT{}, false
 }
 
 // MergeShardResults reassembles the deterministic OSResult a farm (or
@@ -129,7 +123,6 @@ type Executor struct {
 	reg      *core.Registry
 	dispatch core.Dispatcher
 	fixture  core.Fixture
-	index    map[string]catalog.MuT
 	runner   *core.Runner
 	// spanParent is the enclosing fleet unit span, when the worker runs
 	// with a flight recorder.
@@ -142,16 +135,32 @@ func NewExecutor(cfg Config, reg *core.Registry, dispatch core.Dispatcher, fixtu
 	if cfg.Cap <= 0 {
 		cfg.Cap = core.DefaultCap
 	}
-	return &Executor{cfg: cfg, reg: reg, dispatch: dispatch, fixture: fixture, index: mutIndex(cfg.OS)}
+	return &Executor{cfg: cfg, reg: reg, dispatch: dispatch, fixture: fixture}
 }
 
-// mutIndex maps the names of o's catalog MuTs to their entries.
-func mutIndex(o osprofile.OS) map[string]catalog.MuT {
-	index := make(map[string]catalog.MuT)
-	for _, m := range catalog.MuTsFor(o) {
-		index[m.Name] = m
+// mutIndex is every catalog MuT — Win32, POSIX and C library — sorted by
+// name, built once and shared read-only by every decoder, farm and
+// executor.  One index for all OSes rather than one map per OS: a
+// campaign's heap is a few megabytes, and seven retained per-OS maps
+// (343 KB) make the collector run measurably more often.
+var mutIndex = sync.OnceValue(func() []catalog.MuT {
+	all := append(append(catalog.Win32MuTs(), catalog.POSIXMuTs()...), catalog.CLibMuTs()...)
+	slices.SortStableFunc(all, func(a, b catalog.MuT) int { return strings.Compare(a.Name, b.Name) })
+	return all
+})
+
+// lookupMuT returns the MuT named name in o's catalog.  A name can
+// belong to two surfaces (the socket calls are both Win32 and POSIX);
+// catalog.Supported keeps o's, exactly as it does for catalog.MuTsFor.
+func lookupMuT(o osprofile.OS, name string) (catalog.MuT, bool) {
+	all := mutIndex()
+	i, _ := slices.BinarySearchFunc(all, name, func(m catalog.MuT, name string) int { return strings.Compare(m.Name, name) })
+	for ; i < len(all) && all[i].Name == name; i++ {
+		if catalog.Supported(o, all[i]) {
+			return all[i], true
+		}
 	}
-	return index
+	return catalog.MuT{}, false
 }
 
 // SetSpanParent links the runner's mut spans under an enclosing span —
@@ -173,7 +182,7 @@ func (e *Executor) RunShard(ctx context.Context, d ShardDesc) (ShardResult, erro
 // fresh.  It returns the shard's result and the reboot count of its
 // machine epoch.
 func (e *Executor) run(ctx context.Context, d ShardDesc) (*core.MuTResult, int, error) {
-	m, ok := e.index[d.MuT]
+	m, ok := lookupMuT(e.cfg.OS, d.MuT)
 	if !ok {
 		return nil, 0, fmt.Errorf("farm: shard %d: %q is not tested on %s", d.Index, d.MuT, e.cfg.OS)
 	}

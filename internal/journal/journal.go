@@ -3,18 +3,24 @@
 // journal, the explore corpus journal, the crashsim and scarce sweep
 // journals, the result store's segment and the service's campaign queue.
 //
-// The contract: every record is one line, fsynced before Append returns,
-// so a kill at any instant loses at most the record in flight.  A torn
-// line — a write cut short by a crash, an I/O error or an injected
-// fault — is always newline-terminated, by the writer when the write
-// fails and by Open when a crash left it at the tail, so the next record
-// starts a fresh line instead of fusing onto the fragment.  Replay hands
-// back every non-blank line; the engines skip what does not parse and
-// apply their own validation to the rest.
+// The contract: every record is one line, fsynced before Append or
+// AppendBatch returns.  Append commits one record, so a kill at any
+// instant loses at most the record in flight; the farm, fleet, explore,
+// store and service journals use it.  AppendBatch commits a batch of
+// records with one write and one fsync, and internal/sweep group-commits
+// the crashsim and scarce sweep journals through it: a kill there loses
+// at most the batch not yet committed, whose items a resume re-evaluates.
+// A torn line — a write cut short by a crash, an I/O error or an
+// injected fault — is always newline-terminated, by the writer when the
+// write fails and by Open when a crash left it at the tail, so the next
+// record starts a fresh line instead of fusing onto the fragment.
+// Replay hands back every non-blank line; the engines skip what does not
+// parse and apply their own validation to the rest.
 package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,7 +37,7 @@ import (
 // Replay stops there with an error.
 const maxLine = 16 << 20
 
-// Append retry schedule: transient write faults (injected or real) back
+// Commit retry schedule: transient write faults (injected or real) back
 // off briefly and retry; six attempts cover any transient chaos plan.
 const (
 	appendAttempts = 6
@@ -39,7 +45,8 @@ const (
 	backoffMax     = 20 * time.Millisecond
 )
 
-// Journal is an open append handle.  Append is safe for concurrent use.
+// Journal is an open append handle.  Append and AppendBatch are safe for
+// concurrent use.
 type Journal struct {
 	mu    sync.Mutex
 	f     *os.File
@@ -131,7 +138,7 @@ func writeFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// Arm sets up harness-domain fault injection: every append attempt first
+// Arm sets up harness-domain fault injection: every commit attempt first
 // consults inj at (chaos.OpCkptWrite, site), and retries count into
 // stats.  Either may be nil.
 func (j *Journal) Arm(inj *chaos.Injector, stats *chaos.Stats, site string) {
@@ -147,7 +154,33 @@ func (j *Journal) Append(v any) error {
 	if err != nil {
 		return fmt.Errorf("journal: encoding record: %w", err)
 	}
-	line = append(line, '\n')
+	return j.commit(append(line, '\n'))
+}
+
+// AppendBatch marshals each of vs as one line, in order, and makes them
+// durable together: one write plus one fsync, retried as Append's is.
+// The lines are the ones Append would write for each record in turn.  A
+// torn attempt tears the batch's bytes, not each record, so the records
+// before the tear reach the file whole and a retry appends the batch
+// again after them; Replay hands back those duplicates, which name the
+// same items with the same results.
+func (j *Journal) AppendBatch(vs []any) error {
+	if len(vs) == 0 {
+		return nil
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf) // Encode writes Marshal's bytes and a newline
+	for _, v := range vs {
+		if err := enc.Encode(v); err != nil {
+			return fmt.Errorf("journal: encoding record: %w", err)
+		}
+	}
+	return j.commit(buf.Bytes())
+}
+
+// commit writes data, one or more whole lines, with write plus fsync,
+// retried with capped backoff.  It returns the last attempt's error.
+func (j *Journal) commit(data []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var last error
@@ -156,28 +189,28 @@ func (j *Journal) Append(v any) error {
 			j.stats.AddRetried()
 			time.Sleep(min(backoffBase<<(attempt-1), backoffMax))
 		}
-		if last = j.writeLine(line); last == nil {
+		if last = j.write(data); last == nil {
 			return nil
 		}
 	}
 	return last
 }
 
-// writeLine is one append attempt: injected faults first, then the real
-// write, then fsync so the record survives a kill the instant Append
+// write is one commit attempt: injected faults first, then the real
+// write, then fsync so the data survives a kill the instant the commit
 // returns.  A torn write, injected or real, is newline-terminated so the
-// file stays line-structured and a retry appends a clean record after it.
-func (j *Journal) writeLine(line []byte) error {
+// file stays line-structured and a retry appends clean records after it.
+func (j *Journal) write(data []byte) error {
 	if flt, ok := j.inj.Fault(chaos.OpCkptWrite, j.site); ok {
 		if flt.Kind == chaos.KindShort {
-			torn := append([]byte(nil), line[:len(line)/2]...)
+			torn := append([]byte(nil), data[:len(data)/2]...)
 			j.f.Write(append(torn, '\n'))
 		}
 		return chaos.ErrInjected
 	}
-	n, err := j.f.Write(line)
+	n, err := j.f.Write(data)
 	if err != nil {
-		if n > 0 && line[n-1] != '\n' {
+		if n > 0 && data[n-1] != '\n' {
 			j.f.Write([]byte{'\n'})
 		}
 		return err

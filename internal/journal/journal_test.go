@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ballista/internal/chaos"
 )
 
 type rec struct {
@@ -84,6 +86,78 @@ func TestReopenAfterTornTail(t *testing.T) {
 }
 
 func ptr(s string) *string { return &s }
+
+// TestAppendBatch: a batch writes the bytes the same records appended
+// one at a time would, and keeps Append's ckpt.write semantics — a torn
+// attempt leaves the records before the tear whole and newline-terminates
+// the fragment, the retry appends the whole batch after it, and a fault
+// on every attempt returns the injected error.
+func TestAppendBatch(t *testing.T) {
+	dir := t.TempDir()
+	batch := []any{rec{N: 1}, rec{N: 22}, &rec{N: 333}, rec{N: 4444}}
+	write := func(name string, inj *chaos.Injector, fn func(j *Journal) error) ([]byte, error) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		j, err := Open(path, rec{N: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Arm(inj, nil, "test")
+		err = fn(j)
+		if cerr := j.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		data, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		return data, err
+	}
+
+	single, err := write("single.jsonl", nil, func(j *Journal) error {
+		for _, v := range batch {
+			if err := j.Append(v); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched, err := write("batched.jsonl", nil, func(j *Journal) error {
+		if err := j.AppendBatch(nil); err != nil {
+			return err
+		}
+		return j.AppendBatch(batch)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(single, batched) {
+		t.Fatalf("batch wrote\n%s\nwant the per-record bytes\n%s", batched, single)
+	}
+
+	const header = `{"n":0}` + "\n"
+	body := single[len(header):]
+	torn, err := write("torn.jsonl", (&chaos.Plan{Seed: 1, Rules: []chaos.Rule{
+		{Op: chaos.OpCkptWrite, Kind: chaos.KindShort, RatePerMille: 1000, Max: 1},
+	}}).NewInjector(nil), func(j *Journal) error { return j.AppendBatch(batch) })
+	if err != nil {
+		t.Fatalf("one torn attempt leaked out of the retries: %v", err)
+	}
+	want := header + string(body[:len(body)/2]) + "\n" + string(body)
+	if string(torn) != want {
+		t.Fatalf("torn batch left\n%s\nwant\n%s", torn, want)
+	}
+
+	_, err = write("fatal.jsonl", (&chaos.Plan{Seed: 1, Rules: []chaos.Rule{
+		{Op: chaos.OpCkptWrite, Kind: chaos.KindFail, RatePerMille: 1000},
+	}}).NewInjector(nil), func(j *Journal) error { return j.AppendBatch(batch) })
+	if !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("a fault on every attempt returned %v, want chaos.ErrInjected", err)
+	}
+}
 
 // fuzzMaxLine stands in for maxLine so a committed seed can hold an
 // over-cap line.

@@ -199,7 +199,10 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 			obs.OnScarceDone(ev)
 		}
 	}
-	rep.Findings = found.Minimize(func(f *Finding) *Finding { return Minimize(f, cfg.Deps, oses, cfg.Seed) })
+	// Scarce minimization re-probes and cannot fail, so neither can this.
+	rep.Findings, _ = found.Minimize(func(f *Finding) (*Finding, error) {
+		return Minimize(f, cfg.Deps, oses, cfg.Seed), nil
+	})
 	cfg.Spans.Instant("scarcesweep", "done",
 		fmt.Sprintf("findings=%d divergent=%d violating=%d probes=%d",
 			len(rep.Findings), rep.Divergent, rep.Violating, rep.Probes))

@@ -1,10 +1,10 @@
 // Package sweep is the skeleton shared by the checkpointed sweep
 // engines (crashsim, scarce): resume from the journal, evaluate what is
-// left on an index-ordered worker pool, journal each result, and hand
-// the results back in enumeration order, then dedupe, minimize and
-// re-dedupe the findings.  Engines keep only their enumeration,
-// evaluation and report.  Each, the pool itself, also runs explore's
-// candidate batches and the farm's shards.
+// left on an index-ordered worker pool, group-commit the results to the
+// journal, and hand them back in enumeration order, then dedupe,
+// minimize and re-dedupe the findings.  Engines keep only their
+// enumeration, evaluation and report.  Each, the pool itself, also runs
+// explore's candidate batches and the farm's shards.
 package sweep
 
 import (
@@ -57,20 +57,30 @@ type record[T any] struct {
 	R *T  `json:"r"`
 }
 
+// batchSize is how many journal records one write and one fsync commit.
+// A kill loses at most the batch not yet committed, whose items a resume
+// re-evaluates.  A MaxOps-4 crash batch is about 64 KB and 30 ms of
+// one-core evaluation: the fsync is amortized and a kill loses little.
+const batchSize = 64
+
 // Run evaluates every item not already in the journal and returns all N
 // results in enumeration order.  The results are identical for any
 // worker count and across a kill and resume, because Eval is pure and
-// the merge is by index.  A journal append that fails after its retries
+// the merge is by index.  With a journal, results are group-committed
+// batchSize at a time, in the order they complete, and every exit path —
+// the end of the run, a cancelled ctx, a failed commit — commits what was
+// evaluated before Run returns.  A commit that fails after its retries
 // fails the sweep.
 func Run[T any](ctx context.Context, job Job[T]) ([]*T, error) {
 	results := make([]*T, job.N)
-	var jnl *journal.Journal
+	var b *batcher[T]
 	if job.Checkpoint != "" {
-		var err error
-		if jnl, err = job.resume(results); err != nil {
+		jnl, err := job.resume(results)
+		if err != nil {
 			return nil, err
 		}
 		defer jnl.Close()
+		b = &batcher[T]{job: &job, jnl: jnl}
 	}
 	var todo []int
 	for i, r := range results {
@@ -81,18 +91,65 @@ func Run[T any](ctx context.Context, job Job[T]) ([]*T, error) {
 	err := Each(ctx, len(todo), job.Workers, func(_, k int) error {
 		i := todo[k]
 		results[i] = job.Eval(i)
-		if jnl == nil {
+		if b == nil {
 			return nil
 		}
-		if err := jnl.Append(record[T]{I: i, R: results[i]}); err != nil {
-			return fmt.Errorf("%s: checkpointing %s %d: %w", job.Kind, job.Unit, i, err)
-		}
-		return nil
+		return b.add(record[T]{I: i, R: results[i]})
 	})
+	if b != nil {
+		if ferr := b.commit(); err == nil {
+			err = ferr
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
 	return results, nil
+}
+
+// batcher group-commits a sweep's journal records in completion order.
+// The worker whose record fills the batch commits it with the lock
+// held, so batches reach the file whole and in order.
+type batcher[T any] struct {
+	job     *Job[T]
+	jnl     *journal.Journal
+	mu      sync.Mutex // guards pending and orders the commits
+	pending []any      // record[T] values
+}
+
+// add appends rec to the pending batch and commits the batch once it
+// holds batchSize records.
+func (b *batcher[T]) add(rec record[T]) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.pending = append(b.pending, rec)
+	if len(b.pending) < batchSize {
+		return nil
+	}
+	return b.commitLocked()
+}
+
+// commit commits whatever is pending.
+func (b *batcher[T]) commit() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.commitLocked()
+}
+
+// commitLocked makes the pending batch durable with one journal write
+// and empties it, committed or not: a failed batch fails the sweep, and
+// its items are re-evaluated on resume.
+func (b *batcher[T]) commitLocked() error {
+	batch := b.pending
+	if len(batch) == 0 {
+		return nil
+	}
+	b.pending = b.pending[:0]
+	if err := b.jnl.AppendBatch(batch); err != nil {
+		return fmt.Errorf("%s: checkpointing %s %d (a batch of %d): %w",
+			b.job.Kind, b.job.Unit, batch[0].(record[T]).I, len(batch), err)
+	}
+	return nil
 }
 
 // resume fills results from the journal at job.Checkpoint and opens it
@@ -204,15 +261,19 @@ func (fs *Findings[F]) Add(f F) {
 
 // Minimize minimizes the kept findings in order and keeps the first
 // minimized finding per signature — minimization can collapse distinct
-// findings onto one witness.
-func (fs *Findings[F]) Minimize(minimize func(F) F) []F {
+// findings onto one witness.  It stops at minimize's first error.
+func (fs *Findings[F]) Minimize(minimize func(F) (F, error)) ([]F, error) {
 	var out []F
 	seen := make(map[string]bool)
 	for _, f := range fs.kept {
-		if m := minimize(f); !seen[fs.sig(m)] {
+		m, err := minimize(f)
+		if err != nil {
+			return nil, err
+		}
+		if !seen[fs.sig(m)] {
 			seen[fs.sig(m)] = true
 			out = append(out, m)
 		}
 	}
-	return out
+	return out, nil
 }
