@@ -95,14 +95,19 @@ func WithContinueAfterCrash() Option {
 	return func(c *core.Config) { c.StopMuTOnCrash = false }
 }
 
-// Observer re-exports the campaign telemetry hook interface.  Stock
-// implementations live in internal/telemetry: a JSONL trace writer whose
-// records replay through RunCase, a Prometheus-text metrics registry,
-// and a recent-events ring buffer.
+// Observer re-exports the telemetry interface every engine reports
+// through: one Observe(Event) method, where the event's concrete type
+// (*CaseEvent, *ChainEvent, *CrashEvent, ...) names the engine and
+// action.  An event is valid only until Observe returns — the runner
+// reuses one CaseEvent per runner — so an observer that keeps one
+// copies it.  Stock implementations live in internal/telemetry: a JSONL
+// trace writer whose case records replay through RunCase, a
+// Prometheus-text metrics registry, and a recent-events ring buffer.
 type Observer = core.Observer
 
 // Telemetry event types, re-exported for Observer implementations.
 type (
+	Event         = core.Event
 	MuTStartEvent = core.MuTStartEvent
 	CaseEvent     = core.CaseEvent
 	RebootEvent   = core.RebootEvent
@@ -111,22 +116,16 @@ type (
 	ShardEvent    = core.ShardEvent
 	ChainEvent    = core.ChainEvent
 	ChainStep     = core.ChainStep
+	FleetEvent    = core.FleetEvent
 	CrashEvent    = core.CrashEvent
+	ScarceEvent   = core.ScarceEvent
 )
 
-// ChainObserver re-exports the sequence-fuzzer event hook (an optional
-// extension of Observer; the internal/telemetry observers implement it).
-type ChainObserver = core.ChainObserver
-
-// CrashObserver re-exports the crash-consistency sweep event hook (an
-// optional extension of Observer; the internal/telemetry observers
-// implement it).
-type CrashObserver = core.CrashObserver
-
 // WithObserver attaches a telemetry observer to the campaign.  The
-// observer sees every case (OnCaseDone), MuT campaign start, machine
-// reboot and campaign summary, synchronously and in order.  Passing nil
-// is allowed and costs nothing on the case path.
+// observer sees every MuT start, case, machine reboot and campaign
+// summary — plus per-shard events under RunFarm — synchronously and in
+// order, each valid only until Observe returns.  Passing nil is allowed
+// and costs nothing on the case path.
 func WithObserver(o Observer) Option {
 	return func(c *core.Config) { c.Observer = o }
 }

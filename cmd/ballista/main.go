@@ -78,7 +78,6 @@ import (
 	"ballista"
 	"ballista/internal/catalog"
 	"ballista/internal/cliutil"
-	"ballista/internal/core"
 	"ballista/internal/explore"
 	"ballista/internal/fleet"
 	"ballista/internal/osprofile"
@@ -262,9 +261,8 @@ func main() {
 		}()
 		fmt.Printf("ballista: serving /metrics on %s\n", *metricsAddr)
 	}
-	if len(observers) > 0 {
-		opts = append(opts, ballista.WithObserver(telemetry.Multi(observers...)))
-	}
+	observer := telemetry.Multi(observers...)
+	opts = append(opts, ballista.WithObserver(observer))
 
 	if *joinURL != "" {
 		runJoin(*joinURL, fleetFlags.WorkerName(), *workers, plan, chaosStats, spanRec, resultStore)
@@ -275,7 +273,7 @@ func main() {
 		runServeFleetFarm(fleetServeOpts{
 			addr: *serveFleet, target: target, cap: *capFlag,
 			caseDeadline: *caseDeadline, checkpoint: *checkpoint,
-			plan: plan, chaosStats: chaosStats, observers: observers,
+			plan: plan, chaosStats: chaosStats, observer: observer,
 			ttl: fleetFlags.TTL, heartbeat: fleetFlags.Heartbeat,
 			csv: *csvFlag, verbose: *verbose, spans: spanRec,
 		})
@@ -287,7 +285,7 @@ func main() {
 			seed: *seed, maxOps: *crashMaxOps, budget: *crashBudget,
 			osSet: *crashOS, workers: *workers, checkpoint: *checkpoint,
 			reproDir: *reproDir, out: *crashOut, verbose: *verbose,
-			observers: observers, spans: spanRec,
+			observer: observer, spans: spanRec,
 		})
 		return
 	}
@@ -297,7 +295,7 @@ func main() {
 			seed: *seed, budget: *scarceBudget, workers: *workers,
 			envSet: *scarceEnv, osSet: *scarceOS, checkpoint: *checkpoint,
 			reproDir: *reproDir, out: *scarceOut, csv: *scarceCSV,
-			verbose: *verbose, observers: observers, spans: spanRec,
+			verbose: *verbose, observer: observer, spans: spanRec,
 		})
 		return
 	}
@@ -307,7 +305,7 @@ func main() {
 			chains: *chains, seed: *seed, maxLen: *maxLen,
 			diffOS: *diffOS, muts: *exploreMuTs,
 			workers: *workers, checkpoint: *checkpoint, reproDir: *reproDir,
-			verbose: *verbose, observers: observers,
+			verbose: *verbose, observer: observer,
 			chaos: plan, chaosStats: chaosStats,
 			serveFleet: *serveFleet, fleetTTL: fleetFlags.TTL,
 			fleetHeartbeat: fleetFlags.Heartbeat, caseDeadline: *caseDeadline,
@@ -463,23 +461,12 @@ type fleetServeOpts struct {
 	checkpoint   string
 	plan         *ballista.ChaosPlan
 	chaosStats   *ballista.ChaosStats
-	observers    []ballista.Observer
+	observer     ballista.Observer
 	ttl          time.Duration
 	heartbeat    time.Duration
 	csv          string
 	verbose      bool
 	spans        *ballista.SpanRecorder
-}
-
-// fleetObserver narrows the shared observer set to the fleet hook.
-func fleetObserver(observers []ballista.Observer) core.FleetObserver {
-	if len(observers) == 0 {
-		return nil
-	}
-	if fo, ok := telemetry.Multi(observers...).(core.FleetObserver); ok {
-		return fo
-	}
-	return nil
 }
 
 // runServeFleetFarm coordinates a distributed farm campaign: serve the
@@ -493,7 +480,7 @@ func runServeFleetFarm(fo fleetServeOpts) {
 	coord, err := fleet.New(fleet.Config{
 		Spec: spec, TTL: fo.ttl, Heartbeat: fo.heartbeat,
 		Journal: fo.checkpoint, Chaos: fo.plan, ChaosStats: fo.chaosStats,
-		Observer: fleetObserver(fo.observers), Spans: fo.spans,
+		Observer: fo.observer, Spans: fo.spans,
 		Log: telemetry.NewLogger(os.Stderr, "fleet"),
 	})
 	if err != nil {
@@ -610,7 +597,7 @@ type exploreOpts struct {
 	diffOS, muts            string
 	checkpoint, reproDir    string
 	verbose                 bool
-	observers               []ballista.Observer
+	observer                ballista.Observer
 	chaos                   *ballista.ChaosPlan
 	chaosStats              *ballista.ChaosStats
 	serveFleet              string
@@ -625,6 +612,7 @@ func runExplore(primary ballista.OS, eo exploreOpts) {
 		Primary: primary, Seed: eo.seed, Budget: eo.chains,
 		MaxLen: eo.maxLen, Workers: eo.workers, Checkpoint: eo.checkpoint,
 		Chaos: eo.chaos, ChaosStats: eo.chaosStats, Spans: eo.spans,
+		Observer: eo.observer,
 	}
 	if eo.diffOS != "" {
 		for _, name := range strings.Split(eo.diffOS, ",") {
@@ -641,12 +629,6 @@ func runExplore(primary ballista.OS, eo exploreOpts) {
 			cfg.MuTs = append(cfg.MuTs, strings.TrimSpace(name))
 		}
 	}
-	if len(eo.observers) > 0 {
-		if co, ok := telemetry.Multi(eo.observers...).(ballista.ChainObserver); ok {
-			cfg.Observer = co
-		}
-	}
-
 	// -serve-fleet: candidate batches are evaluated by joined workers
 	// instead of the local pool; the report stays byte-identical.
 	var coord *fleet.Coordinator
@@ -663,7 +645,7 @@ func runExplore(primary ballista.OS, eo exploreOpts) {
 		var err error
 		coord, err = fleet.New(fleet.Config{
 			Spec: spec, TTL: eo.fleetTTL, Heartbeat: eo.fleetHeartbeat,
-			ChaosStats: eo.chaosStats, Observer: fleetObserver(eo.observers),
+			ChaosStats: eo.chaosStats, Observer: eo.observer,
 			Spans: eo.spans,
 			Log:   telemetry.NewLogger(os.Stderr, "fleet"),
 		})
@@ -764,7 +746,7 @@ type crashOpts struct {
 	osSet, checkpoint       string
 	reproDir, out           string
 	verbose                 bool
-	observers               []ballista.Observer
+	observer                ballista.Observer
 	spans                   *ballista.SpanRecorder
 }
 
@@ -772,6 +754,7 @@ func runCrashCheck(co crashOpts) {
 	cfg := ballista.CrashConfig{
 		Seed: co.seed, MaxOps: co.maxOps, Budget: co.budget,
 		Workers: co.workers, Checkpoint: co.checkpoint, Spans: co.spans,
+		Observer: co.observer,
 	}
 	if co.osSet != "" {
 		for _, name := range strings.Split(co.osSet, ",") {
@@ -783,10 +766,6 @@ func runCrashCheck(co crashOpts) {
 			cfg.OSes = append(cfg.OSes, o)
 		}
 	}
-	if len(co.observers) > 0 {
-		cfg.Observer = telemetry.Multi(co.observers...)
-	}
-
 	ctx, stop, caught := signalContext()
 	defer stop()
 
@@ -854,7 +833,7 @@ type scarceOpts struct {
 	checkpoint         string
 	reproDir, out, csv string
 	verbose            bool
-	observers          []ballista.Observer
+	observer           ballista.Observer
 	spans              *ballista.SpanRecorder
 }
 
@@ -862,6 +841,7 @@ func runScarceCheck(so scarceOpts) {
 	cfg := ballista.ScarceConfig{
 		Seed: so.seed, Budget: so.budget,
 		Workers: so.workers, Checkpoint: so.checkpoint, Spans: so.spans,
+		Observer: so.observer,
 	}
 	if so.osSet != "" {
 		for _, name := range strings.Split(so.osSet, ",") {
@@ -892,10 +872,6 @@ func runScarceCheck(so scarceOpts) {
 			}
 		}
 	}
-	if len(so.observers) > 0 {
-		cfg.Observer = telemetry.Multi(so.observers...)
-	}
-
 	ctx, stop, caught := signalContext()
 	defer stop()
 

@@ -7,27 +7,43 @@ import (
 	"ballista/internal/catalog"
 )
 
-// Observer receives campaign telemetry as the runner executes.  The
+// Observer receives campaign telemetry as the engines execute.  The
 // paper's harness "logged every test case executed to disk" so that
 // Catastrophic failures could be replayed as single-test programs (§2,
-// §3.3); Observer is that logging seam.  All hooks are invoked
-// synchronously from the campaign goroutine, in execution order, so an
-// implementation sees a faithful serialized history of one runner.  A
-// nil Observer on the Config is valid and costs nothing on the case
-// path.
+// §3.3); Observer is that logging seam, and every engine — runner,
+// farm, sequence fuzzer, fleet coordinator, crash and scarcity sweeps —
+// reports through its one method.  The event's concrete type names the
+// engine and the action; a sink type-switches on it and ignores the
+// kinds it does not count.
+//
+// An event is valid only until Observe returns: the runner reuses one
+// CaseEvent for every case it reports, so a sink that keeps an event
+// (or a pointer into it) copies it first.
+//
+// The runner invokes Observe synchronously from its campaign goroutine,
+// in execution order, so an implementation sees a faithful serialized
+// history of one runner.  Farm, sweep and fuzzer events fire from their
+// merge loops; fleet events fire from concurrent HTTP request handling,
+// so an observer shared with a fleet coordinator (or a multi-campaign
+// service) must be safe for concurrent use.  A nil Observer on a Config
+// is valid and costs nothing on the case path.
 type Observer interface {
-	// OnMuTStart announces one MuT's campaign before its first case.
-	OnMuTStart(ev MuTStartEvent)
-	// OnCaseDone reports every case the runner attempted, including
-	// constructor-failure skips, from RunMuT, RunCase, RunSequence and
-	// RunProbe alike.
-	OnCaseDone(ev CaseEvent)
-	// OnReboot fires each time a Catastrophic failure forces the
-	// machine down and the harness reboots it.
-	OnReboot(ev RebootEvent)
-	// OnCampaignDone closes a full RunAll campaign over one OS.
-	OnCampaignDone(ev CampaignEvent)
+	Observe(ev Event)
 }
+
+// Event is one telemetry event.  It is sealed: its only implementations
+// are pointers to the event structs of this package.
+type Event interface{ event() }
+
+func (*MuTStartEvent) event() {}
+func (*CaseEvent) event()     {}
+func (*RebootEvent) event()   {}
+func (*CampaignEvent) event() {}
+func (*ShardEvent) event()    {}
+func (*ChainEvent) event()    {}
+func (*FleetEvent) event()    {}
+func (*CrashEvent) event()    {}
+func (*ScarceEvent) event()   {}
 
 // MuTStartEvent announces a Module under Test's campaign.
 type MuTStartEvent struct {
@@ -133,13 +149,6 @@ type ShardEvent struct {
 	Wall time.Duration
 }
 
-// ShardObserver is an optional extension interface: Observers that also
-// implement it receive per-shard completion events from farm campaigns.
-// Plain Observers ignore shards at zero cost.
-type ShardObserver interface {
-	OnShardDone(ev ShardEvent)
-}
-
 // ChainStep is one call of a sequence chain: a MuT named by its wire
 // name plus the test-value indices for each parameter.  The JSON shape
 // is shared by chain trace records, corpus checkpoints and minimized
@@ -179,16 +188,10 @@ type ChainEvent struct {
 	CorpusSize int
 }
 
-// ChainObserver is an optional extension interface: Observers that also
-// implement it receive per-chain events from sequence-fuzzing campaigns.
-type ChainObserver interface {
-	OnChainDone(ev ChainEvent)
-}
-
 // FleetEvent reports one control-plane action of a distributed-campaign
 // coordinator (see internal/fleet): lease grants, expiries and steals,
 // result uploads and their dedup hits, worker liveness, and RPC byte
-// counts.  Unlike the runner's hooks, fleet events fire from concurrent
+// counts.  Unlike the runner's events, fleet events fire from concurrent
 // HTTP request handling, so observers must be safe for concurrent use
 // (the stock internal/telemetry observers are).
 type FleetEvent struct {
@@ -210,13 +213,6 @@ type FleetEvent struct {
 	// BytesIn/BytesOut are request/response body sizes ("rpc" events).
 	BytesIn  int
 	BytesOut int
-}
-
-// FleetObserver is an optional extension interface: Observers that also
-// implement it receive coordinator control-plane events from distributed
-// campaigns.
-type FleetObserver interface {
-	OnFleetEvent(ev FleetEvent)
 }
 
 // CrashEvent reports one bounded workload evaluated by the
@@ -248,13 +244,6 @@ type CrashEvent struct {
 	Violating bool
 }
 
-// CrashObserver is an optional extension interface: Observers that also
-// implement it receive per-workload events from crash-consistency
-// sweeps.
-type CrashObserver interface {
-	OnCrashDone(ev CrashEvent)
-}
-
 // ScarceEvent reports one (MuT, environment) item evaluated by the
 // resource-scarcity sweep (internal/scarce): which depleted environment
 // the MuT ran inside, and how the differential oracles judged it across
@@ -283,33 +272,16 @@ type ScarceEvent struct {
 	Violating bool
 }
 
-// ScarceObserver is an optional extension interface: Observers that
-// also implement it receive per-item events from scarcity sweeps.
-type ScarceObserver interface {
-	OnScarceDone(ev ScarceEvent)
-}
-
-// NopObserver implements Observer with no-ops; embed it to implement a
-// subset of the hooks.
-type NopObserver struct{}
-
-// OnMuTStart implements Observer.
-func (NopObserver) OnMuTStart(MuTStartEvent) {}
-
-// OnCaseDone implements Observer.
-func (NopObserver) OnCaseDone(CaseEvent) {}
-
-// OnReboot implements Observer.
-func (NopObserver) OnReboot(RebootEvent) {}
-
-// OnCampaignDone implements Observer.
-func (NopObserver) OnCampaignDone(CampaignEvent) {}
-
-// caseEvent assembles a CaseEvent; called only when an observer is set.
+// caseEvent fills the runner's reusable CaseEvent, so an observed case
+// allocates nothing for its event; called only when an observer is set.
 func (r *Runner) caseEvent(m catalog.MuT, types []*DataType, tc Case, wide bool, seq int,
-	cls RawClass, out *api.Outcome, ticks0 uint64, wall time.Duration) CaseEvent {
+	cls RawClass, out *api.Outcome, ticks0 uint64, wall time.Duration) *CaseEvent {
+	if r.ev == nil {
+		r.ev = new(CaseEvent)
+	}
 	k := r.kernel
-	ev := CaseEvent{
+	ev := r.ev
+	*ev = CaseEvent{
 		OS:          r.cfg.OS.WireName(),
 		MuT:         m.Name,
 		API:         m.API.String(),

@@ -102,6 +102,10 @@ type Runner struct {
 	dispatch Dispatcher
 	fixture  Fixture
 	obs      Observer
+	// ev is the CaseEvent every observed case reuses, allocated on the
+	// first one so that unobserved runners (a fresh one per scarcity
+	// probe and per explore machine) stay small.
+	ev *CaseEvent
 
 	kernel *kern.Kernel
 	// spans is the flight recorder (nil when disabled); spanParent is
@@ -259,7 +263,7 @@ func (r *Runner) RunMuT(ctx context.Context, m catalog.MuT, wide bool) (*MuTResu
 		Exceptional: make([]bool, 0, len(cases)),
 	}
 	if r.obs != nil {
-		r.obs.OnMuTStart(MuTStartEvent{
+		r.obs.Observe(&MuTStartEvent{
 			OS: r.cfg.OS.WireName(), MuT: m.Name, API: m.API.String(),
 			Group: m.Group.String(), Wide: wide, Cases: len(cases),
 		})
@@ -299,7 +303,7 @@ func (r *Runner) reboot(mutName string) {
 	reason := r.kernel.CrashReason()
 	r.kernel.Reboot()
 	if r.obs != nil {
-		r.obs.OnReboot(RebootEvent{
+		r.obs.Observe(&RebootEvent{
 			OS: r.cfg.OS.WireName(), MuT: mutName,
 			Epoch: r.kernel.Epoch, Reason: reason,
 		})
@@ -339,7 +343,7 @@ func (r *Runner) runCase(m catalog.MuT, impl Impl, types []*DataType, tc Case, w
 			ticks0 = r.kernel.Ticks()
 		}
 		cls, out = r.execCase(m, impl, types, tc, wide)
-		r.obs.OnCaseDone(r.caseEvent(m, types, tc, wide, seq, cls, out, ticks0, time.Since(start)))
+		r.obs.Observe(r.caseEvent(m, types, tc, wide, seq, cls, out, ticks0, time.Since(start)))
 	}
 	if r.condemned {
 		// A wedged case abandoned this machine; bank its reboot count
@@ -545,7 +549,7 @@ func (r *Runner) RunAll(ctx context.Context) (*OSResult, error) {
 	}
 	out.Reboots = r.epoch()
 	if r.obs != nil {
-		r.obs.OnCampaignDone(CampaignEvent{
+		r.obs.Observe(&CampaignEvent{
 			OS: r.cfg.OS.WireName(), MuTs: len(out.Results),
 			CasesRun: out.CasesRun, Reboots: out.Reboots, Wall: time.Since(start),
 		})
@@ -613,7 +617,7 @@ func (r *Runner) RunSequence(ms []catalog.MuT, cases []Case, wide bool) ([]RawCl
 		if !r.prepare(f, m, types, tc) {
 			out[i] = RawSkip
 			if r.obs != nil {
-				r.obs.OnCaseDone(r.caseEvent(m, types, tc, wide, i, RawSkip, nil, ticks0, time.Since(start)))
+				r.obs.Observe(r.caseEvent(m, types, tc, wide, i, RawSkip, nil, ticks0, time.Since(start)))
 			}
 			continue
 		}
@@ -621,7 +625,7 @@ func (r *Runner) RunSequence(ms []catalog.MuT, cases []Case, wide bool) ([]RawCl
 		f.finish()
 		out[i] = Classify(&f.call.Out)
 		if r.obs != nil {
-			r.obs.OnCaseDone(r.caseEvent(m, types, tc, wide, i, out[i], &f.call.Out, ticks0, time.Since(start)))
+			r.obs.Observe(r.caseEvent(m, types, tc, wide, i, out[i], &f.call.Out, ticks0, time.Since(start)))
 		}
 	}
 	if k.Crashed() {

@@ -33,7 +33,7 @@ type Config struct {
 	// Checkpoint, when non-empty, journals per-workload results to this
 	// JSONL file so a killed sweep resumes without re-evaluating.
 	Checkpoint string
-	// Observer receives CrashEvents if it implements core.CrashObserver.
+	// Observer, when non-nil, receives one CrashEvent per workload.
 	Observer core.Observer
 	// Spans, when non-nil, records sweep/workload spans.
 	Spans *span.Recorder
@@ -141,7 +141,6 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 	for _, o := range oses {
 		rep.OSes = append(rep.OSes, o.WireName())
 	}
-	obs, _ := cfg.Observer.(core.CrashObserver)
 	found := sweep.NewFindings(func(f *Finding) string { return f.Signature })
 	for i, r := range results {
 		rep.CrashPoints += r.CrashPoints
@@ -156,7 +155,7 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 			}
 			found.Add(f)
 		}
-		if obs != nil {
+		if cfg.Observer != nil {
 			ev := core.CrashEvent{
 				Seq: i, Workload: workloads[i].Key(), OSes: rep.OSes,
 				CrashPoints: r.CrashPoints, States: r.States, Violations: r.Violations,
@@ -164,7 +163,7 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 			if f != nil {
 				ev.Divergent, ev.Violating = f.Divergent, f.Violating
 			}
-			obs.OnCrashDone(ev)
+			cfg.Observer.Observe(&ev)
 		}
 	}
 	// Minimize from the results: Enumerate is exhaustive and emits every

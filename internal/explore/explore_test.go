@@ -193,9 +193,13 @@ type chainCollector struct {
 	evs []core.ChainEvent
 }
 
-func (c *chainCollector) OnChainDone(ev core.ChainEvent) {
+func (c *chainCollector) Observe(e core.Event) {
+	ev, ok := e.(*core.ChainEvent)
+	if !ok {
+		return
+	}
 	c.mu.Lock()
-	c.evs = append(c.evs, ev)
+	c.evs = append(c.evs, *ev)
 	c.mu.Unlock()
 }
 

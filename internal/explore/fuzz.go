@@ -58,7 +58,7 @@ type Config struct {
 	MaxFindings int
 	// Observer, when non-nil, receives one ChainEvent per evaluated
 	// candidate, in deterministic candidate order.
-	Observer core.ChainObserver
+	Observer core.Observer
 	// Chaos, when non-nil, injects harness-domain faults (checkpoint
 	// write tears and failures, site "explore") from a fresh injector
 	// session per Run.  Substrate faults inside the evaluation runners
@@ -645,7 +645,7 @@ func (f *Fuzzer) merge(st *runState, out outcome, jnl *journal.Journal) error {
 		}
 	}
 	if f.cfg.Observer != nil {
-		f.cfg.Observer.OnChainDone(core.ChainEvent{
+		f.cfg.Observer.Observe(&core.ChainEvent{
 			OS: f.cfg.Primary.WireName(), Seq: rec.N,
 			Steps: out.chain.Steps, Wide: out.chain.Wide,
 			Classes: f.rawClassesMap(out.classes),

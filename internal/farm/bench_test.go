@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ballista"
+	"ballista/internal/telemetry"
 )
 
 // BenchmarkFarm runs the full WinNT catalog at the paper's 5000-case
@@ -76,7 +77,8 @@ func TestFarmCaseAllocs(t *testing.T) {
 		{os: ballista.Linux, maxAllocs: 5.8, maxBytes: 7840},
 	} {
 		t.Run(tc.os.WireName(), func(t *testing.T) {
-			allocs, bytes, cases := farmCost(t, tc.os)
+			allocs, bytes, res := farmCost(t, tc.os, 300, nil)
+			cases := res.CasesRun
 			if allocs > tc.maxAllocs {
 				t.Errorf("farm allocates %.2f times per case (%d cases), want at most %.1f", allocs, cases, tc.maxAllocs)
 			}
@@ -88,28 +90,53 @@ func TestFarmCaseAllocs(t *testing.T) {
 	}
 }
 
-// farmCost runs a one-worker campaign at a 300-case cap once to warm up
+// TestObservedFarmCaseAllocs is the observed path's cost gate: a WinNT
+// one-worker campaign at a 50-case cap with a metrics registry attached
+// may allocate no more per case than the same campaign with a nil
+// observer.  The runner reuses one CaseEvent for every case it reports,
+// so the allowance is one allocation for each rarer event — a MuT start
+// and a shard completion per shard, each reboot, the campaign summary —
+// plus 1% of the case count for the runtime's own allocations, which
+// vary by about ten between identical runs.  An observer path that
+// boxed a fresh event per case adds about one allocation per case and
+// fails here on any host.
+func TestObservedFarmCaseAllocs(t *testing.T) {
+	bare, _, bareRes := farmCost(t, ballista.WinNT, 50, nil)
+	observed, _, res := farmCost(t, ballista.WinNT, 50, telemetry.NewMetrics())
+	if res.CasesRun != bareRes.CasesRun {
+		t.Fatalf("observed campaign ran %d cases, bare campaign %d", res.CasesRun, bareRes.CasesRun)
+	}
+	rare := 2*len(res.Results) + res.Reboots + 1
+	allowance := float64(rare+res.CasesRun/100) / float64(res.CasesRun)
+	if observed > bare+allowance {
+		t.Errorf("observed farm allocates %.3f times per case, bare farm %.3f (+%.3f allowed: %d rarer events over %d cases)",
+			observed, bare, allowance, rare, res.CasesRun)
+	}
+	t.Logf("%.3f allocations per case observed, %.3f bare, over %d cases", observed, bare, res.CasesRun)
+}
+
+// farmCost runs a one-worker campaign capped at caseCap cases once to warm up
 // and once measured, on one P as testing.AllocsPerRun does, and returns
-// its allocations and allocated bytes per case.
-func farmCost(t *testing.T, o ballista.OS) (allocs, bytes float64, cases int) {
+// its allocations and allocated bytes per case and the measured result.
+func farmCost(t *testing.T, o ballista.OS, caseCap int, obs ballista.Observer) (allocs, bytes float64, res *ballista.Result) {
 	t.Helper()
-	run := func() int {
+	run := func() *ballista.Result {
 		res, err := ballista.RunFarm(context.Background(), o,
-			ballista.FarmConfig{Workers: 1}, ballista.WithCap(300))
+			ballista.FarmConfig{Workers: 1}, ballista.WithCap(caseCap), ballista.WithObserver(obs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.CasesRun
+		return res
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	cases = run()
+	res = run()
 	runtime.ReadMemStats(&after)
-	if cases == 0 {
+	if res.CasesRun == 0 {
 		t.Fatal("the campaign ran no cases")
 	}
-	return float64(after.Mallocs-before.Mallocs) / float64(cases),
-		float64(after.TotalAlloc-before.TotalAlloc) / float64(cases), cases
+	return float64(after.Mallocs-before.Mallocs) / float64(res.CasesRun),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(res.CasesRun), res
 }

@@ -181,7 +181,6 @@ func (f *Farm) Run(ctx context.Context) (*core.OSResult, error) {
 	}
 	// Worker w runs its shards on execs[w], booted on its first shard.
 	execs := make([]*Executor, workers)
-	shardObs, _ := f.cfg.Observer.(core.ShardObserver)
 	err := sweep.Each(ctx, len(pending), workers, func(w, k int) error {
 		if execs[w] == nil {
 			execs[w] = &Executor{cfg: f.cfg, reg: f.reg, dispatch: f.dispatch, fixture: f.fixture}
@@ -207,8 +206,8 @@ func (f *Farm) Run(ctx context.Context) (*core.OSResult, error) {
 				return fmt.Errorf("farm: checkpointing shard %d: %w", d.Index, err)
 			}
 		}
-		if shardObs != nil {
-			shardObs.OnShardDone(core.ShardEvent{
+		if f.cfg.Observer != nil {
+			f.cfg.Observer.Observe(&core.ShardEvent{
 				OS: f.cfg.OS.WireName(), Worker: w, Shard: d.Index,
 				MuT: d.MuT, Wide: d.Wide,
 				Cases: res.Executed(), Reboots: reboots,
@@ -230,7 +229,7 @@ func (f *Farm) Run(ctx context.Context) (*core.OSResult, error) {
 		out.Reboots += n
 	}
 	if f.cfg.Observer != nil {
-		f.cfg.Observer.OnCampaignDone(core.CampaignEvent{
+		f.cfg.Observer.Observe(&core.CampaignEvent{
 			OS: f.cfg.OS.WireName(), MuTs: len(out.Results),
 			CasesRun: out.CasesRun, Reboots: out.Reboots, Wall: time.Since(start),
 		})

@@ -99,20 +99,17 @@ type shardCounter struct {
 	cancelFunc context.CancelFunc
 }
 
-func (s *shardCounter) OnMuTStart(core.MuTStartEvent) {
-	s.mu.Lock()
-	s.mutStarts++
-	s.mu.Unlock()
-}
-func (s *shardCounter) OnCaseDone(core.CaseEvent)         {}
-func (s *shardCounter) OnReboot(core.RebootEvent)         {}
-func (s *shardCounter) OnCampaignDone(core.CampaignEvent) {}
-func (s *shardCounter) OnShardDone(core.ShardEvent) {
+func (s *shardCounter) Observe(ev core.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.shards++
-	if s.cancelFunc != nil && s.shards >= s.cancelAt {
-		s.cancelFunc()
+	switch ev.(type) {
+	case *core.MuTStartEvent:
+		s.mutStarts++
+	case *core.ShardEvent:
+		s.shards++
+		if s.cancelFunc != nil && s.shards >= s.cancelAt {
+			s.cancelFunc()
+		}
 	}
 }
 func (s *shardCounter) counts() (shards, mutStarts int) {

@@ -40,7 +40,7 @@ type Config struct {
 	// Observer receives control-plane FleetEvents (may be nil).  Fleet
 	// events fire from concurrent HTTP handling; the internal/telemetry
 	// observers are safe.
-	Observer core.FleetObserver
+	Observer core.Observer
 	// Spans, when non-nil, records control-plane spans (join, lease,
 	// upload, heartbeat), stamped with the campaign identity hash as the
 	// trace ID, and serves them on GET /fleet/v1/spans.
@@ -229,7 +229,7 @@ func (c *Coordinator) emit(evs ...core.FleetEvent) {
 		return
 	}
 	for _, ev := range evs {
-		c.cfg.Observer.OnFleetEvent(ev)
+		c.cfg.Observer.Observe(&ev) // a copy, so evs stays on the caller's stack
 	}
 }
 

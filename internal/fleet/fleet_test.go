@@ -31,13 +31,17 @@ type recObs struct {
 
 func newRecObs() *recObs { return &recObs{kinds: make(map[string]int)} }
 
-func (r *recObs) OnFleetEvent(ev core.FleetEvent) {
+func (r *recObs) Observe(e core.Event) {
+	ev, ok := e.(*core.FleetEvent)
+	if !ok {
+		return
+	}
 	r.mu.Lock()
 	r.kinds[ev.Kind]++
 	hook := r.onEvent
 	r.mu.Unlock()
 	if hook != nil {
-		hook(ev)
+		hook(*ev)
 	}
 }
 

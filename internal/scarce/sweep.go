@@ -31,7 +31,7 @@ type Config struct {
 	// Checkpoint, when non-empty, journals per-item results to this
 	// JSONL file so a killed sweep resumes without re-evaluating.
 	Checkpoint string
-	// Observer receives ScarceEvents if it implements core.ScarceObserver.
+	// Observer, when non-nil, receives one ScarceEvent per item.
 	Observer core.Observer
 	// Spans, when non-nil, records sweep/item spans.
 	Spans *span.Recorder
@@ -165,7 +165,6 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 	for _, e := range envs {
 		rep.Envs = append(rep.Envs, e.Name)
 	}
-	obs, _ := cfg.Observer.(core.ScarceObserver)
 	found := sweep.NewFindings(func(f *Finding) string { return f.Signature })
 	for i, r := range results {
 		rep.Probes += r.Probes
@@ -182,7 +181,7 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 			}
 			found.Add(f)
 		}
-		if obs != nil {
+		if cfg.Observer != nil {
 			it := items[i]
 			probed := make([]string, len(it.oses))
 			for j, o := range it.oses {
@@ -196,7 +195,7 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 			if f != nil {
 				ev.Divergent, ev.Violating = f.Divergent, f.Violating
 			}
-			obs.OnScarceDone(ev)
+			cfg.Observer.Observe(&ev)
 		}
 	}
 	// Scarce minimization re-probes and cannot fail, so neither can this.

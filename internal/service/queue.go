@@ -333,13 +333,12 @@ type campaignProgress struct {
 	shards int
 }
 
-func (p *campaignProgress) OnMuTStart(core.MuTStartEvent)     {}
-func (p *campaignProgress) OnCaseDone(core.CaseEvent)         {}
-func (p *campaignProgress) OnReboot(core.RebootEvent)         {}
-func (p *campaignProgress) OnCampaignDone(core.CampaignEvent) {}
-
-// OnShardDone implements core.ShardObserver.
-func (p *campaignProgress) OnShardDone(ev core.ShardEvent) {
+// Observe implements core.Observer; only shard completions count.
+func (p *campaignProgress) Observe(e core.Event) {
+	ev, ok := e.(*core.ShardEvent)
+	if !ok {
+		return
+	}
 	p.mu.Lock()
 	p.shards++
 	n := p.shards
@@ -666,11 +665,10 @@ func (s *Server) executeQueuedFleet(ctx context.Context, c *campaign, o ballista
 			spec.CaseDeadlineMS = int64(c.req.Chaos.CaseDeadlineMS)
 		}
 	}
-	cfg := fleet.Config{Spec: spec, TTL: s.fleetTTL, ChaosStats: s.chaosStats, Spans: s.spans, Log: s.log}
-	if fo, ok := obs.(core.FleetObserver); ok {
-		cfg.Observer = fo
-	}
-	coord, err := fleet.New(cfg)
+	coord, err := fleet.New(fleet.Config{
+		Spec: spec, TTL: s.fleetTTL, ChaosStats: s.chaosStats, Spans: s.spans, Log: s.log,
+		Observer: obs,
+	})
 	if err != nil {
 		return nil, err
 	}

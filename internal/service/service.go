@@ -724,10 +724,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	cfg := ballista.ExploreConfig{
 		Primary: primary, OSes: oses, MuTs: req.MuTs,
 		Seed: req.Seed, Budget: req.Chains, MaxLen: req.MaxLen,
-		Workers: req.Workers, Spans: s.spans,
-	}
-	if co, ok := s.observer().(core.ChainObserver); ok {
-		cfg.Observer = co
+		Workers: req.Workers, Spans: s.spans, Observer: s.observer(),
 	}
 	if !s.acquire(w) {
 		return
@@ -948,11 +945,10 @@ func (s *Server) handleFleetCampaign(w http.ResponseWriter, r *http.Request) {
 	if req.TTLMS > 0 {
 		ttl = time.Duration(req.TTLMS) * time.Millisecond
 	}
-	cfg := fleet.Config{Spec: spec, TTL: ttl, ChaosStats: s.chaosStats, Spans: s.spans, Log: s.log}
-	if fo, ok := s.observer().(core.FleetObserver); ok {
-		cfg.Observer = fo
-	}
-	coord, err := fleet.New(cfg)
+	coord, err := fleet.New(fleet.Config{
+		Spec: spec, TTL: ttl, ChaosStats: s.chaosStats, Spans: s.spans, Log: s.log,
+		Observer: s.observer(),
+	})
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err.Error())
 		return

@@ -443,3 +443,37 @@ func TestExploreEndpointErrors(t *testing.T) {
 		t.Errorf("unknown mut: status %d", status)
 	}
 }
+
+// TestSweepEventsEndpoint: crash and scarcity sweeps run through the
+// service land in /api/events as one "crash" record per workload and one
+// "scarce" record per item, like every other engine's events.
+func TestSweepEventsEndpoint(t *testing.T) {
+	ts := testServer(t)
+	var crash ballista.CrashReport
+	if code := postJSON(t, ts.URL+"/api/crashcheck",
+		CrashcheckRequest{OSes: []string{"winnt", "linux"}, Seed: 7, MaxOps: 1}, &crash); code != http.StatusOK {
+		t.Fatalf("crashcheck status %d", code)
+	}
+	var scarce ballista.ScarceReport
+	if code := postJSON(t, ts.URL+"/api/scarcecheck",
+		ScarcecheckRequest{OSes: []string{"winnt"}, Envs: []string{"handle-full"}, Seed: 7, Budget: 3}, &scarce); code != http.StatusOK {
+		t.Fatalf("scarcecheck status %d", code)
+	}
+	var ev EventsResponse
+	if code := getJSON(t, ts.URL+"/api/events?n=4096", &ev); code != http.StatusOK {
+		t.Fatalf("events status %d", code)
+	}
+	kinds := map[string]int{}
+	for _, rec := range ev.Events {
+		kinds[rec.Type]++
+	}
+	if kinds["crash"] != crash.Workloads || crash.Workloads == 0 {
+		t.Errorf("/api/events holds %d crash records, sweep evaluated %d workloads", kinds["crash"], crash.Workloads)
+	}
+	if kinds["scarce"] != scarce.Items || scarce.Items == 0 {
+		t.Errorf("/api/events holds %d scarce records, sweep evaluated %d items", kinds["scarce"], scarce.Items)
+	}
+	if want := uint64(crash.Workloads + scarce.Items); ev.Seen != want {
+		t.Errorf("ring saw %d events, want %d", ev.Seen, want)
+	}
+}

@@ -166,103 +166,86 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// OnMuTStart implements core.Observer.
-func (m *Metrics) OnMuTStart(core.MuTStartEvent) {
-	m.mu.Lock()
-	m.mutsStarted++
-	m.mu.Unlock()
-}
-
-// OnCaseDone implements core.Observer.
-func (m *Metrics) OnCaseDone(ev core.CaseEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cls := ev.Class.String()
-	m.casesByClass[cls]++
-	m.casesByGroup[[2]string{ev.Group, cls}]++
-	m.casesByOS[ev.OS]++
-	m.latency.Observe(ev.Wall.Seconds())
-	m.simTicks += ev.SimTicks
-	m.kernel[ev.OS] = ev.Kernel
-}
-
-// OnReboot implements core.Observer.
-func (m *Metrics) OnReboot(core.RebootEvent) {
-	m.mu.Lock()
-	m.reboots++
-	m.mu.Unlock()
-}
-
-// OnCampaignDone implements core.Observer.
-func (m *Metrics) OnCampaignDone(core.CampaignEvent) {
-	m.mu.Lock()
-	m.campaigns++
-	m.mu.Unlock()
-}
-
-// OnShardDone implements core.ShardObserver: farm campaigns attribute
-// their throughput to individual workers, the way the paper tracked its
-// six physical test machines separately.
-func (m *Metrics) OnShardDone(ev core.ShardEvent) {
+// Observe implements core.Observer, folding every engine's events into
+// its counters: cases, MuT starts, reboots and campaigns from the
+// runner; per-worker shard attribution from farms (the way the paper
+// tracked its six physical test machines separately); the coverage
+// frontier and oracle findings from the sequence fuzzer; each crash
+// workload's enumeration and verdict; each scarcity item's verdicts;
+// and the fleet coordinator's control plane.
+func (m *Metrics) Observe(ev core.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	w := strconv.Itoa(ev.Worker)
-	m.farmShards[w]++
-	m.farmCases[w] += uint64(ev.Cases)
-	m.farmReboots[w] += uint64(ev.Reboots)
+	switch ev := ev.(type) {
+	case *core.MuTStartEvent:
+		m.mutsStarted++
+	case *core.CaseEvent:
+		cls := ev.Class.String()
+		m.casesByClass[cls]++
+		m.casesByGroup[[2]string{ev.Group, cls}]++
+		m.casesByOS[ev.OS]++
+		m.latency.Observe(ev.Wall.Seconds())
+		m.simTicks += ev.SimTicks
+		m.kernel[ev.OS] = ev.Kernel
+	case *core.RebootEvent:
+		m.reboots++
+	case *core.CampaignEvent:
+		m.campaigns++
+	case *core.ShardEvent:
+		w := strconv.Itoa(ev.Worker)
+		m.farmShards[w]++
+		m.farmCases[w] += uint64(ev.Cases)
+		m.farmReboots[w] += uint64(ev.Reboots)
+	case *core.ChainEvent:
+		m.exploreChains++
+		m.exploreNovel += b2u(ev.Novel)
+		m.exploreDivergent += b2u(ev.Divergent)
+		m.exploreCatastrophic += b2u(ev.Catastrophic)
+		m.exploreCorpusSize = ev.CorpusSize
+	case *core.CrashEvent:
+		m.crashWorkloads++
+		m.crashPoints += uint64(ev.CrashPoints)
+		m.crashStates += uint64(ev.States)
+		m.crashViolations += uint64(ev.Violations)
+		m.crashDivergent += b2u(ev.Divergent)
+		m.crashViolatingWl += b2u(ev.Violating)
+	case *core.ScarceEvent:
+		m.scarceItems++
+		m.scarceProbes += uint64(len(ev.OSes))
+		m.scarceCrashed += uint64(ev.Crashed)
+		m.scarceLeaked += uint64(ev.Leaked)
+		m.scarceUngraceful += uint64(ev.Ungraceful)
+		m.scarceDivergent += b2u(ev.Divergent)
+		m.scarceViolating += b2u(ev.Violating)
+	case *core.FleetEvent:
+		switch ev.Kind {
+		case "rpc":
+			// High-volume transport accounting; liveness comes from the
+			// control events, which all carry the gauge.
+			m.fleetBytesIn += uint64(ev.BytesIn)
+			m.fleetBytesOut += uint64(ev.BytesOut)
+			return
+		case "lease_granted":
+			m.fleetLeasesGranted++
+		case "lease_expired":
+			m.fleetLeasesExpired++
+		case "lease_stolen":
+			m.fleetLeasesStolen++
+		case "upload":
+			m.fleetUploads++
+		case "upload_dedup":
+			m.fleetUploadDedup++
+		}
+		m.fleetWorkersLive = ev.Live
+	}
 }
 
-// OnChainDone implements core.ChainObserver: sequence-fuzzing campaigns
-// report their coverage frontier and differential-oracle findings.
-func (m *Metrics) OnChainDone(ev core.ChainEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.exploreChains++
-	if ev.Novel {
-		m.exploreNovel++
+// b2u counts a flag.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	if ev.Divergent {
-		m.exploreDivergent++
-	}
-	if ev.Catastrophic {
-		m.exploreCatastrophic++
-	}
-	m.exploreCorpusSize = ev.CorpusSize
-}
-
-// OnCrashDone implements core.CrashObserver: crash-consistency sweeps
-// report each workload's legal-state enumeration and oracle verdict.
-func (m *Metrics) OnCrashDone(ev core.CrashEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.crashWorkloads++
-	m.crashPoints += uint64(ev.CrashPoints)
-	m.crashStates += uint64(ev.States)
-	m.crashViolations += uint64(ev.Violations)
-	if ev.Divergent {
-		m.crashDivergent++
-	}
-	if ev.Violating {
-		m.crashViolatingWl++
-	}
-}
-
-// OnScarceDone implements core.ScarceObserver: scarcity sweeps report
-// each (MuT, environment) item's differential oracle verdicts.
-func (m *Metrics) OnScarceDone(ev core.ScarceEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.scarceItems++
-	m.scarceProbes += uint64(len(ev.OSes))
-	m.scarceCrashed += uint64(ev.Crashed)
-	m.scarceLeaked += uint64(ev.Leaked)
-	m.scarceUngraceful += uint64(ev.Ungraceful)
-	if ev.Divergent {
-		m.scarceDivergent++
-	}
-	if ev.Violating {
-		m.scarceViolating++
-	}
+	return 0
 }
 
 // ScarceItemCount returns the total scarcity-sweep items observed.
@@ -277,32 +260,6 @@ func (m *Metrics) CrashWorkloadCount() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.crashWorkloads
-}
-
-// OnFleetEvent implements core.FleetObserver: distributed campaigns
-// report their coordinator's control plane.
-func (m *Metrics) OnFleetEvent(ev core.FleetEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch ev.Kind {
-	case "rpc":
-		// High-volume transport accounting; liveness comes from the
-		// control events, which all carry the gauge.
-		m.fleetBytesIn += uint64(ev.BytesIn)
-		m.fleetBytesOut += uint64(ev.BytesOut)
-		return
-	case "lease_granted":
-		m.fleetLeasesGranted++
-	case "lease_expired":
-		m.fleetLeasesExpired++
-	case "lease_stolen":
-		m.fleetLeasesStolen++
-	case "upload":
-		m.fleetUploads++
-	case "upload_dedup":
-		m.fleetUploadDedup++
-	}
-	m.fleetWorkersLive = ev.Live
 }
 
 // FleetLeaseCount returns the total leases granted.

@@ -11,7 +11,8 @@ import (
 
 // hammerObserver drives one observer from many goroutines the way a
 // farm campaign does: every worker delivers case, shard, reboot and
-// campaign events concurrently while readers poll the aggregates.  Run
+// campaign events — and the sweeps' crash and scarce events —
+// concurrently while readers poll the aggregates.  Run
 // with -race (CI does) this is the concurrent-safety audit for the
 // telemetry registry.
 func hammerObserver(t *testing.T, obs core.Observer, read func()) {
@@ -19,30 +20,31 @@ func hammerObserver(t *testing.T, obs core.Observer, read func()) {
 	const workers = 8
 	const eventsPerWorker = 200
 
-	shardObs, _ := obs.(core.ShardObserver)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < eventsPerWorker; i++ {
-				obs.OnMuTStart(core.MuTStartEvent{OS: "winnt", MuT: "ReadFile"})
-				obs.OnCaseDone(core.CaseEvent{
+				obs.Observe(&core.MuTStartEvent{OS: "winnt", MuT: "ReadFile"})
+				obs.Observe(&core.CaseEvent{
 					OS: "winnt", MuT: "ReadFile", Group: "File I/O",
 					Case: core.Case{0, 1}, Seq: i,
 					Class: core.RawClass(i % 6), Wall: time.Microsecond,
 				})
 				if i%10 == 0 {
-					obs.OnReboot(core.RebootEvent{OS: "winnt", Epoch: i / 10})
+					obs.Observe(&core.RebootEvent{OS: "winnt", Epoch: i / 10})
 				}
-				if shardObs != nil {
-					shardObs.OnShardDone(core.ShardEvent{
-						OS: "winnt", Worker: w, Shard: i, MuT: "ReadFile",
-						Cases: 10,
-					})
+				obs.Observe(&core.ShardEvent{
+					OS: "winnt", Worker: w, Shard: i, MuT: "ReadFile",
+					Cases: 10,
+				})
+				if i%20 == 0 {
+					obs.Observe(&core.CrashEvent{Seq: i, Workload: "create(f0)", OSes: []string{"winnt"}, CrashPoints: 1})
+					obs.Observe(&core.ScarceEvent{Seq: i, MuT: "ReadFile", Env: "handle-starved", OSes: []string{"winnt"}})
 				}
 			}
-			obs.OnCampaignDone(core.CampaignEvent{OS: "winnt", MuTs: 1, CasesRun: eventsPerWorker})
+			obs.Observe(&core.CampaignEvent{OS: "winnt", MuTs: 1, CasesRun: eventsPerWorker})
 		}(w)
 	}
 
@@ -89,6 +91,12 @@ func TestMetricsConcurrentObservers(t *testing.T) {
 	}
 	if want := uint64(8 * 200); shards != want {
 		t.Errorf("counted %d shards across workers, want %d", shards, want)
+	}
+	if got, want := m.CrashWorkloadCount(), uint64(8*10); got != want {
+		t.Errorf("counted %d crash workloads, want %d", got, want)
+	}
+	if got, want := m.ScarceItemCount(), uint64(8*10); got != want {
+		t.Errorf("counted %d scarce items, want %d", got, want)
 	}
 }
 
@@ -149,10 +157,12 @@ func TestMultiConcurrentFanout(t *testing.T) {
 		m.WritePrometheus(io.Discard)
 		_ = rg.Last(8)
 	})
-	// Multi must forward shard events to every member that understands
-	// them (type-asserted core.ShardObserver extension).
+	// Multi must forward every event kind to every member.
 	if m.ShardCount("0") == 0 {
 		t.Error("Multi dropped shard events to Metrics")
+	}
+	if m.CrashWorkloadCount() == 0 || m.ScarceItemCount() == 0 {
+		t.Error("Multi dropped sweep events to Metrics")
 	}
 }
 
@@ -160,8 +170,8 @@ func TestMultiConcurrentFanout(t *testing.T) {
 // metrics registry behind the same Multi fan-out) from campaign-shaped
 // writers and explore-shaped writers at once — the ballistad steady
 // state when a farm campaign and a fuzzing run share the server's
-// telemetry.  Run with -race this audits the OnChainDone path against
-// every other observer hook, which the farm-only hammer never covers.
+// telemetry.  Run with -race this audits the chain path against
+// every other event kind, which the farm-only hammer never covers.
 func TestRingConcurrentCampaignAndExplore(t *testing.T) {
 	m := NewMetrics()
 	rg := NewRing(64)
@@ -175,7 +185,7 @@ func TestRingConcurrentCampaignAndExplore(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < chainsPerWriter; i++ {
-				multi.(core.ChainObserver).OnChainDone(core.ChainEvent{
+				multi.Observe(&core.ChainEvent{
 					OS: "win98", Seq: i,
 					Classes:      map[string][]core.RawClass{"win98": {core.RawClean}},
 					Novel:        i%3 == 0,

@@ -68,29 +68,10 @@ func (rg *Ring) Last(n int) []TraceRecord {
 	return out
 }
 
-// OnMuTStart implements core.Observer.
-func (rg *Ring) OnMuTStart(ev core.MuTStartEvent) { rg.push(mutStartRecord(ev)) }
-
-// OnCaseDone implements core.Observer.
-func (rg *Ring) OnCaseDone(ev core.CaseEvent) { rg.push(caseRecord(ev)) }
-
-// OnReboot implements core.Observer.
-func (rg *Ring) OnReboot(ev core.RebootEvent) { rg.push(rebootRecord(ev)) }
-
-// OnCampaignDone implements core.Observer.
-func (rg *Ring) OnCampaignDone(ev core.CampaignEvent) { rg.push(campaignRecord(ev)) }
-
-// OnShardDone implements core.ShardObserver.
-func (rg *Ring) OnShardDone(ev core.ShardEvent) { rg.push(shardRecord(ev)) }
-
-// OnChainDone implements core.ChainObserver.
-func (rg *Ring) OnChainDone(ev core.ChainEvent) { rg.push(chainRecord(ev)) }
-
-// OnFleetEvent implements core.FleetObserver.  Per-RPC byte accounting
-// stays out of the ring, same as the trace.
-func (rg *Ring) OnFleetEvent(ev core.FleetEvent) {
-	if ev.Kind == "rpc" {
-		return
+// Observe implements core.Observer, retaining the event's trace record
+// (fleet "rpc" events stay out of the ring, as they do the trace).
+func (rg *Ring) Observe(ev core.Event) {
+	if rec, ok := record(ev); ok {
+		rg.push(rec)
 	}
-	rg.push(fleetRecord(ev))
 }

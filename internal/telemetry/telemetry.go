@@ -2,20 +2,25 @@
 // reproduction.  The paper's harness logged every test case to disk so
 // Catastrophic failures could be replayed as single-test programs (§2,
 // §3.3) and reported its findings as aggregate rate tables; this package
-// supplies both halves as stock core.Observer implementations:
+// supplies both halves as stock core.Observer implementations, each of
+// which sees every event kind through the one Observe method:
 //
-//   - TraceWriter appends one JSONL record per test case; any record's
+//   - TraceWriter appends one JSONL record per event — test case, MuT
+//     start, reboot, campaign, farm shard, fuzzer chain, fleet action,
+//     crash-sweep workload and scarcity-sweep item; any case record's
 //     {os, mut, case, wide} fields are a service CaseRequest, so traces
 //     replay directly through POST /api/case or Runner.RunCase.
 //   - Metrics accumulates counters per CRASH class and catalog group,
-//     case-latency histograms, and sim-kernel health gauges, and renders
-//     them in Prometheus text exposition format.
-//   - Ring retains the last N events in memory for the service's
-//     GET /api/events endpoint.
+//     case-latency histograms, sim-kernel health gauges and per-engine
+//     counters, and renders them in Prometheus text exposition format.
+//   - Ring retains the last N records in memory for the service's
+//     GET /api/events endpoint, in the trace's schema.
 //
-// All types here are safe for concurrent use: the campaign runner fires
-// hooks from one goroutine, but the testing service runs many campaigns
-// at once against shared observers.
+// TraceWriter and Ring build their records with one shared conversion,
+// so the on-disk trace and the HTTP surface cannot drift apart.  All
+// types here are safe for concurrent use: the campaign runner fires
+// events from one goroutine, but farms, fleets and the testing service
+// share observers across goroutines.
 package telemetry
 
 import (
@@ -49,77 +54,9 @@ func Multi(obs ...core.Observer) core.Observer {
 
 type multi []core.Observer
 
-func (m multi) OnMuTStart(ev core.MuTStartEvent) {
+func (m multi) Observe(ev core.Event) {
 	for _, o := range m {
-		o.OnMuTStart(ev)
-	}
-}
-
-func (m multi) OnCaseDone(ev core.CaseEvent) {
-	for _, o := range m {
-		o.OnCaseDone(ev)
-	}
-}
-
-func (m multi) OnReboot(ev core.RebootEvent) {
-	for _, o := range m {
-		o.OnReboot(ev)
-	}
-}
-
-func (m multi) OnCampaignDone(ev core.CampaignEvent) {
-	for _, o := range m {
-		o.OnCampaignDone(ev)
-	}
-}
-
-// OnShardDone implements core.ShardObserver, forwarding farm shard
-// completions to every member that cares.
-func (m multi) OnShardDone(ev core.ShardEvent) {
-	for _, o := range m {
-		if so, ok := o.(core.ShardObserver); ok {
-			so.OnShardDone(ev)
-		}
-	}
-}
-
-// OnChainDone implements core.ChainObserver, forwarding sequence-fuzzer
-// chain completions to every member that cares.
-func (m multi) OnChainDone(ev core.ChainEvent) {
-	for _, o := range m {
-		if co, ok := o.(core.ChainObserver); ok {
-			co.OnChainDone(ev)
-		}
-	}
-}
-
-// OnFleetEvent implements core.FleetObserver, forwarding coordinator
-// control-plane events to every member that cares.
-func (m multi) OnFleetEvent(ev core.FleetEvent) {
-	for _, o := range m {
-		if fo, ok := o.(core.FleetObserver); ok {
-			fo.OnFleetEvent(ev)
-		}
-	}
-}
-
-// OnCrashDone implements core.CrashObserver, forwarding crash-sweep
-// workload completions to every member that cares.
-func (m multi) OnCrashDone(ev core.CrashEvent) {
-	for _, o := range m {
-		if co, ok := o.(core.CrashObserver); ok {
-			co.OnCrashDone(ev)
-		}
-	}
-}
-
-// OnScarceDone implements core.ScarceObserver, forwarding scarcity-
-// sweep item completions to every member that cares.
-func (m multi) OnScarceDone(ev core.ScarceEvent) {
-	for _, o := range m {
-		if so, ok := o.(core.ScarceObserver); ok {
-			so.OnScarceDone(ev)
-		}
+		o.Observe(ev)
 	}
 }
 

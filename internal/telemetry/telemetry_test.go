@@ -9,8 +9,8 @@ import (
 	"ballista/internal/core"
 )
 
-func caseEvent(seq int, cls core.RawClass) core.CaseEvent {
-	return core.CaseEvent{
+func caseEvent(seq int, cls core.RawClass) *core.CaseEvent {
+	return &core.CaseEvent{
 		OS: "win98", MuT: "GetThreadContext", API: "Win32", Group: "proc/env",
 		Case: core.Case{3, 0}, Seq: seq, Class: cls,
 		Kernel:   core.KernelSample{Epoch: 1, Corruption: 2, LiveHandles: 4, MappedPages: 8},
@@ -21,10 +21,10 @@ func caseEvent(seq int, cls core.RawClass) core.CaseEvent {
 func TestTraceWriterRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tw := NewTraceWriter(&buf)
-	tw.OnMuTStart(core.MuTStartEvent{OS: "win98", MuT: "GetThreadContext", API: "Win32", Group: "proc/env", Cases: 24})
-	tw.OnCaseDone(caseEvent(0, core.RawCatastrophic))
-	tw.OnReboot(core.RebootEvent{OS: "win98", MuT: "GetThreadContext", Epoch: 1, Reason: "bad write"})
-	tw.OnCampaignDone(core.CampaignEvent{OS: "win98", MuTs: 1, CasesRun: 1, Reboots: 1, Wall: time.Millisecond})
+	tw.Observe(&core.MuTStartEvent{OS: "win98", MuT: "GetThreadContext", API: "Win32", Group: "proc/env", Cases: 24})
+	tw.Observe(caseEvent(0, core.RawCatastrophic))
+	tw.Observe(&core.RebootEvent{OS: "win98", MuT: "GetThreadContext", Epoch: 1, Reason: "bad write"})
+	tw.Observe(&core.CampaignEvent{OS: "win98", MuTs: 1, CasesRun: 1, Reboots: 1, Wall: time.Millisecond})
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRingWraparound(t *testing.T) {
 		t.Errorf("empty ring Last = %v", got)
 	}
 	for i := 0; i < 5; i++ {
-		rg.OnCaseDone(caseEvent(i, core.RawClean))
+		rg.Observe(caseEvent(i, core.RawClean))
 	}
 	if rg.Seen() != 5 {
 		t.Errorf("Seen() = %d, want 5", rg.Seen())
@@ -84,7 +84,7 @@ func TestRingWraparound(t *testing.T) {
 	}
 	// Capacity is clamped to at least one record.
 	tiny := NewRing(0)
-	tiny.OnCaseDone(caseEvent(9, core.RawClean))
+	tiny.Observe(caseEvent(9, core.RawClean))
 	if got := tiny.Last(5); len(got) != 1 || *got[0].Seq != 9 {
 		t.Errorf("clamped ring Last = %+v", got)
 	}
@@ -110,11 +110,11 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestMetricsPrometheusOutput(t *testing.T) {
 	m := NewMetrics()
-	m.OnMuTStart(core.MuTStartEvent{OS: "win98", MuT: "GetThreadContext"})
-	m.OnCaseDone(caseEvent(0, core.RawAbort))
-	m.OnCaseDone(caseEvent(1, core.RawCatastrophic))
-	m.OnReboot(core.RebootEvent{OS: "win98"})
-	m.OnCampaignDone(core.CampaignEvent{OS: "win98"})
+	m.Observe(&core.MuTStartEvent{OS: "win98", MuT: "GetThreadContext"})
+	m.Observe(caseEvent(0, core.RawAbort))
+	m.Observe(caseEvent(1, core.RawCatastrophic))
+	m.Observe(&core.RebootEvent{OS: "win98"})
+	m.Observe(&core.CampaignEvent{OS: "win98"})
 	m.ObserveHTTP("POST", "/api/case", 200, time.Millisecond)
 	m.AddInFlight(1)
 
@@ -157,22 +157,31 @@ func TestMetricsPrometheusOutput(t *testing.T) {
 	}
 }
 
-// countingObserver tallies hook invocations for Multi fan-out tests.
+// countingObserver tallies the runner's four event kinds for Multi
+// fan-out tests.
 type countingObserver struct{ muts, cases, reboots, campaigns int }
 
-func (c *countingObserver) OnMuTStart(core.MuTStartEvent)     { c.muts++ }
-func (c *countingObserver) OnCaseDone(core.CaseEvent)         { c.cases++ }
-func (c *countingObserver) OnReboot(core.RebootEvent)         { c.reboots++ }
-func (c *countingObserver) OnCampaignDone(core.CampaignEvent) { c.campaigns++ }
+func (c *countingObserver) Observe(ev core.Event) {
+	switch ev.(type) {
+	case *core.MuTStartEvent:
+		c.muts++
+	case *core.CaseEvent:
+		c.cases++
+	case *core.RebootEvent:
+		c.reboots++
+	case *core.CampaignEvent:
+		c.campaigns++
+	}
+}
 
 func TestMulti(t *testing.T) {
 	a, b := &countingObserver{}, &countingObserver{}
 	m := Multi(a, nil, b)
-	m.OnMuTStart(core.MuTStartEvent{})
-	m.OnCaseDone(core.CaseEvent{})
-	m.OnCaseDone(core.CaseEvent{})
-	m.OnReboot(core.RebootEvent{})
-	m.OnCampaignDone(core.CampaignEvent{})
+	m.Observe(&core.MuTStartEvent{})
+	m.Observe(&core.CaseEvent{})
+	m.Observe(&core.CaseEvent{})
+	m.Observe(&core.RebootEvent{})
+	m.Observe(&core.CampaignEvent{})
 	for _, c := range []*countingObserver{a, b} {
 		if c.muts != 1 || c.cases != 2 || c.reboots != 1 || c.campaigns != 1 {
 			t.Errorf("fan-out counts: %+v", c)
@@ -186,65 +195,66 @@ func TestMulti(t *testing.T) {
 	}
 }
 
-// extendedObserver implements every optional extension interface on
-// top of the base Observer.
+// extendedObserver also tallies the farm, fuzzer, fleet and sweep
+// event kinds on top of the runner's four.
 type extendedObserver struct {
 	countingObserver
-	shards, chains, fleet int
+	shards, chains, fleet, crash, scarce int
 }
 
-func (e *extendedObserver) OnShardDone(core.ShardEvent)  { e.shards++ }
-func (e *extendedObserver) OnChainDone(core.ChainEvent)  { e.chains++ }
-func (e *extendedObserver) OnFleetEvent(core.FleetEvent) { e.fleet++ }
+func (e *extendedObserver) Observe(ev core.Event) {
+	switch ev.(type) {
+	case *core.ShardEvent:
+		e.shards++
+	case *core.ChainEvent:
+		e.chains++
+	case *core.FleetEvent:
+		e.fleet++
+	case *core.CrashEvent:
+		e.crash++
+	case *core.ScarceEvent:
+		e.scarce++
+	default:
+		e.countingObserver.Observe(ev)
+	}
+}
 
-// TestMultiExtensionFanout mixes one plain Observer with one that also
-// implements the optional ShardObserver/ChainObserver/FleetObserver
-// extensions: the fan-out must satisfy all three, deliver extension
-// events only to the member that understands them, and still deliver
-// base events to both.
+// TestMultiExtensionFanout mixes an observer that counts only the
+// runner's events with one that counts every engine's: the fan-out must
+// deliver every event to both members, so the engine events reach the
+// member that counts them and the runner events reach both, and the
+// engine events must not land in the plain member's runner counters.
 func TestMultiExtensionFanout(t *testing.T) {
 	plain := &countingObserver{}
 	ext := &extendedObserver{}
 	m := Multi(plain, ext)
 
-	so, ok := m.(core.ShardObserver)
-	if !ok {
-		t.Fatal("Multi does not implement core.ShardObserver")
-	}
-	co, ok := m.(core.ChainObserver)
-	if !ok {
-		t.Fatal("Multi does not implement core.ChainObserver")
-	}
-	fo, ok := m.(core.FleetObserver)
-	if !ok {
-		t.Fatal("Multi does not implement core.FleetObserver")
-	}
+	m.Observe(&core.ShardEvent{})
+	m.Observe(&core.ShardEvent{})
+	m.Observe(&core.ChainEvent{})
+	m.Observe(&core.FleetEvent{})
+	m.Observe(&core.FleetEvent{})
+	m.Observe(&core.FleetEvent{})
+	m.Observe(&core.CrashEvent{})
+	m.Observe(&core.ScarceEvent{})
+	m.Observe(&core.CaseEvent{})
 
-	so.OnShardDone(core.ShardEvent{})
-	so.OnShardDone(core.ShardEvent{})
-	co.OnChainDone(core.ChainEvent{})
-	fo.OnFleetEvent(core.FleetEvent{})
-	fo.OnFleetEvent(core.FleetEvent{})
-	fo.OnFleetEvent(core.FleetEvent{})
-	m.OnCaseDone(core.CaseEvent{})
-
-	if ext.shards != 2 || ext.chains != 1 || ext.fleet != 3 {
-		t.Errorf("extension fan-out counts: shards=%d chains=%d fleet=%d",
-			ext.shards, ext.chains, ext.fleet)
+	if ext.shards != 2 || ext.chains != 1 || ext.fleet != 3 || ext.crash != 1 || ext.scarce != 1 {
+		t.Errorf("engine fan-out counts: shards=%d chains=%d fleet=%d crash=%d scarce=%d",
+			ext.shards, ext.chains, ext.fleet, ext.crash, ext.scarce)
 	}
 	if plain.cases != 1 || ext.cases != 1 {
 		t.Errorf("base fan-out counts: plain=%d ext=%d", plain.cases, ext.cases)
 	}
-	// The extension events must not have leaked into the plain member's
-	// base hooks.
+	// The engine events must not have leaked into the plain member's
+	// runner counters.
 	if plain.muts != 0 || plain.reboots != 0 || plain.campaigns != 0 {
 		t.Errorf("plain observer saw phantom events: %+v", plain)
 	}
 
-	// A single plain observer is returned undecorated, so it must not
-	// pick up extension interfaces it never implemented.
-	if _, ok := Multi(plain).(core.ShardObserver); ok {
-		t.Error("single plain observer grew a ShardObserver implementation")
+	// A single observer is returned undecorated.
+	if Multi(plain) != core.Observer(plain) {
+		t.Error("single plain observer was wrapped")
 	}
 }
 

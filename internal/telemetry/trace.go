@@ -16,7 +16,7 @@ import (
 // Runner.RunCase) as the paper's single-test reproduction program.
 type TraceRecord struct {
 	// Type discriminates the record: "mut_start", "case", "reboot",
-	// "campaign".
+	// "campaign", "shard", "chain", "fleet", "crash" or "scarce".
 	Type string `json:"type"`
 	OS   string `json:"os"`
 	MuT  string `json:"mut,omitempty"`
@@ -27,8 +27,9 @@ type TraceRecord struct {
 	API   string `json:"api,omitempty"`
 	Group string `json:"group,omitempty"`
 
-	// Seq is the case ordinal within its MuT campaign; -1 for standalone
-	// single-case runs.
+	// Seq is the case ordinal within its MuT campaign (-1 for standalone
+	// single-case runs), or the chain, workload or item ordinal within its
+	// fuzzing campaign or sweep.
 	Seq *int `json:"seq,omitempty"`
 	// Class is the CRASH classification of a "case" record.
 	Class       string `json:"class,omitempty"`
@@ -88,6 +89,23 @@ type TraceRecord struct {
 	Gen         int    `json:"gen,omitempty"`
 	Version     uint64 `json:"version,omitempty"`
 	Live        int    `json:"live,omitempty"`
+
+	// Sweep fields ("crash" and "scarce" records).  Workload is a crash
+	// workload's op-chain key and Env a scarcity environment's name; OSes
+	// lists the profiles checked.  CrashPoints, States and Violations
+	// size a crash workload's enumeration; Crashed, Leaked and Ungraceful
+	// count a scarcity item's per-OS oracle failures.  Divergent (above)
+	// and Violating carry either sweep's verdict.
+	Workload    string   `json:"workload,omitempty"`
+	Env         string   `json:"env,omitempty"`
+	OSes        []string `json:"oses,omitempty"`
+	CrashPoints int      `json:"crash_points,omitempty"`
+	States      int      `json:"states,omitempty"`
+	Violations  int      `json:"violations,omitempty"`
+	Crashed     int      `json:"crashed,omitempty"`
+	Leaked      int      `json:"leaked,omitempty"`
+	Ungraceful  int      `json:"ungraceful,omitempty"`
+	Violating   bool     `json:"violating,omitempty"`
 }
 
 // TraceWriter is a core.Observer that appends one JSON object per line.
@@ -155,126 +173,100 @@ func (tw *TraceWriter) emit(rec *TraceRecord) {
 	tw.n++
 }
 
-// Record constructors shared by TraceWriter and Ring, so the on-disk
-// trace and the /api/events surface carry one schema.
-
-func mutStartRecord(ev core.MuTStartEvent) TraceRecord {
-	return TraceRecord{
-		Type: "mut_start", OS: ev.OS, MuT: ev.MuT, API: ev.API,
-		Group: ev.Group, Wide: ev.Wide, Cases: ev.Cases,
-	}
-}
-
-func caseRecord(ev core.CaseEvent) TraceRecord {
-	seq := ev.Seq
-	return TraceRecord{
-		Type: "case", OS: ev.OS, MuT: ev.MuT, Case: ev.Case, Wide: ev.Wide,
-		API: ev.API, Group: ev.Group, Seq: &seq,
-		Class: ev.Class.String(), Exceptional: ev.Exceptional,
-		ErrCode: ev.ErrCode, Exception: ev.Exception, IsSignal: ev.IsSignal,
-		CrashReason: ev.CrashReason,
-		Epoch:       ev.Kernel.Epoch, Corruption: ev.Kernel.Corruption,
-		LiveHandles: ev.Kernel.LiveHandles, MappedPages: ev.Kernel.MappedPages,
-		SimTicks: ev.SimTicks, WallNS: ev.Wall.Nanoseconds(),
-	}
-}
-
-func rebootRecord(ev core.RebootEvent) TraceRecord {
-	return TraceRecord{Type: "reboot", OS: ev.OS, MuT: ev.MuT, Epoch: ev.Epoch, Reason: ev.Reason}
-}
-
-func campaignRecord(ev core.CampaignEvent) TraceRecord {
-	return TraceRecord{
-		Type: "campaign", OS: ev.OS, Cases: ev.CasesRun,
-		Reboots: ev.Reboots, WallNS: ev.Wall.Nanoseconds(),
-	}
-}
-
-func chainRecord(ev core.ChainEvent) TraceRecord {
-	seq := ev.Seq
-	classes := make(map[string][]string, len(ev.Classes))
-	for os, cls := range ev.Classes {
-		names := make([]string, len(cls))
-		for i, c := range cls {
-			names[i] = c.String()
-		}
-		classes[os] = names
-	}
-	return TraceRecord{
-		Type: "chain", OS: ev.OS, Wide: ev.Wide, Seq: &seq,
-		Steps: ev.Steps, Classes: classes,
-		Novel: ev.Novel, Divergent: ev.Divergent, Catastrophic: ev.Catastrophic,
-		Fingerprint: fmt.Sprintf("%016x", ev.Fingerprint),
-		CorpusSize:  ev.CorpusSize,
-	}
-}
-
-func fleetRecord(ev core.FleetEvent) TraceRecord {
-	task := ev.Task
-	return TraceRecord{
-		Type: "fleet", Event: ev.Kind, FleetWorker: ev.Worker,
-		Gen: ev.Gen, Shard: &task, Version: ev.Version, Live: ev.Live,
-	}
-}
-
-func shardRecord(ev core.ShardEvent) TraceRecord {
-	worker, shard := ev.Worker, ev.Shard
-	return TraceRecord{
-		Type: "shard", OS: ev.OS, MuT: ev.MuT, Wide: ev.Wide,
-		Cases: ev.Cases, Reboots: ev.Reboots,
-		Worker: &worker, Shard: &shard,
-		WallNS: ev.Wall.Nanoseconds(),
-	}
-}
-
-// OnMuTStart implements core.Observer.
-func (tw *TraceWriter) OnMuTStart(ev core.MuTStartEvent) {
-	rec := mutStartRecord(ev)
-	tw.emit(&rec)
-}
-
-// OnCaseDone implements core.Observer.
-func (tw *TraceWriter) OnCaseDone(ev core.CaseEvent) {
-	rec := caseRecord(ev)
-	tw.emit(&rec)
-}
-
-// OnReboot implements core.Observer.
-func (tw *TraceWriter) OnReboot(ev core.RebootEvent) {
-	rec := rebootRecord(ev)
-	tw.emit(&rec)
-}
-
-// OnCampaignDone implements core.Observer.
-func (tw *TraceWriter) OnCampaignDone(ev core.CampaignEvent) {
-	rec := campaignRecord(ev)
-	tw.emit(&rec)
-	_ = tw.Flush()
-}
-
-// OnShardDone implements core.ShardObserver: farm shard completions
-// appear in the trace alongside the cases they cover.
-func (tw *TraceWriter) OnShardDone(ev core.ShardEvent) {
-	rec := shardRecord(ev)
-	tw.emit(&rec)
-}
-
-// OnChainDone implements core.ChainObserver: every fuzzer candidate
-// lands in the trace as a replayable chain record.
-func (tw *TraceWriter) OnChainDone(ev core.ChainEvent) {
-	rec := chainRecord(ev)
-	tw.emit(&rec)
-}
-
-// OnFleetEvent implements core.FleetObserver: coordinator control-plane
-// actions land in the trace.  Per-RPC byte accounting ("rpc" events) is
-// metrics-only — it would swamp the trace with one line per exchange.
-func (tw *TraceWriter) OnFleetEvent(ev core.FleetEvent) {
-	if ev.Kind == "rpc" {
+// Observe implements core.Observer: every event kind but per-RPC fleet
+// accounting lands in the trace, and a campaign summary flushes it.
+func (tw *TraceWriter) Observe(ev core.Event) {
+	rec, ok := record(ev)
+	if !ok {
 		return
 	}
-	rec := fleetRecord(ev)
 	tw.emit(&rec)
+	if _, done := ev.(*core.CampaignEvent); done {
+		_ = tw.Flush()
+	}
+}
+
+// record converts an event to its trace record — the one conversion
+// TraceWriter and Ring share, so the on-disk trace and the /api/events
+// surface carry one schema.  ok is false for fleet "rpc" events:
+// per-RPC byte accounting is metrics-only, since it would swamp the
+// trace with one line per exchange.
+func record(ev core.Event) (rec TraceRecord, ok bool) {
+	switch ev := ev.(type) {
+	case *core.MuTStartEvent:
+		return TraceRecord{
+			Type: "mut_start", OS: ev.OS, MuT: ev.MuT, API: ev.API,
+			Group: ev.Group, Wide: ev.Wide, Cases: ev.Cases,
+		}, true
+	case *core.CaseEvent:
+		seq := ev.Seq
+		return TraceRecord{
+			Type: "case", OS: ev.OS, MuT: ev.MuT, Case: ev.Case, Wide: ev.Wide,
+			API: ev.API, Group: ev.Group, Seq: &seq,
+			Class: ev.Class.String(), Exceptional: ev.Exceptional,
+			ErrCode: ev.ErrCode, Exception: ev.Exception, IsSignal: ev.IsSignal,
+			CrashReason: ev.CrashReason,
+			Epoch:       ev.Kernel.Epoch, Corruption: ev.Kernel.Corruption,
+			LiveHandles: ev.Kernel.LiveHandles, MappedPages: ev.Kernel.MappedPages,
+			SimTicks: ev.SimTicks, WallNS: ev.Wall.Nanoseconds(),
+		}, true
+	case *core.RebootEvent:
+		return TraceRecord{Type: "reboot", OS: ev.OS, MuT: ev.MuT, Epoch: ev.Epoch, Reason: ev.Reason}, true
+	case *core.CampaignEvent:
+		return TraceRecord{
+			Type: "campaign", OS: ev.OS, Cases: ev.CasesRun,
+			Reboots: ev.Reboots, WallNS: ev.Wall.Nanoseconds(),
+		}, true
+	case *core.ShardEvent:
+		worker, shard := ev.Worker, ev.Shard
+		return TraceRecord{
+			Type: "shard", OS: ev.OS, MuT: ev.MuT, Wide: ev.Wide,
+			Cases: ev.Cases, Reboots: ev.Reboots,
+			Worker: &worker, Shard: &shard,
+			WallNS: ev.Wall.Nanoseconds(),
+		}, true
+	case *core.ChainEvent:
+		seq := ev.Seq
+		classes := make(map[string][]string, len(ev.Classes))
+		for os, cls := range ev.Classes {
+			names := make([]string, len(cls))
+			for i, c := range cls {
+				names[i] = c.String()
+			}
+			classes[os] = names
+		}
+		return TraceRecord{
+			Type: "chain", OS: ev.OS, Wide: ev.Wide, Seq: &seq,
+			Steps: ev.Steps, Classes: classes,
+			Novel: ev.Novel, Divergent: ev.Divergent, Catastrophic: ev.Catastrophic,
+			Fingerprint: fmt.Sprintf("%016x", ev.Fingerprint),
+			CorpusSize:  ev.CorpusSize,
+		}, true
+	case *core.FleetEvent:
+		if ev.Kind == "rpc" {
+			return TraceRecord{}, false
+		}
+		task := ev.Task
+		return TraceRecord{
+			Type: "fleet", Event: ev.Kind, FleetWorker: ev.Worker,
+			Gen: ev.Gen, Shard: &task, Version: ev.Version, Live: ev.Live,
+		}, true
+	case *core.CrashEvent:
+		seq := ev.Seq
+		return TraceRecord{
+			Type: "crash", Seq: &seq, Workload: ev.Workload, OSes: ev.OSes,
+			CrashPoints: ev.CrashPoints, States: ev.States, Violations: ev.Violations,
+			Divergent: ev.Divergent, Violating: ev.Violating,
+		}, true
+	case *core.ScarceEvent:
+		seq := ev.Seq
+		return TraceRecord{
+			Type: "scarce", Seq: &seq, MuT: ev.MuT, API: ev.API, Env: ev.Env, OSes: ev.OSes,
+			Crashed: ev.Crashed, Leaked: ev.Leaked, Ungraceful: ev.Ungraceful,
+			Divergent: ev.Divergent, Violating: ev.Violating,
+		}, true
+	}
+	return TraceRecord{}, false
 }
 
 // ReadTrace parses a JSONL trace stream, returning its records in order.

@@ -10,18 +10,24 @@ import (
 	"ballista/internal/telemetry"
 )
 
-// tallyObserver counts hook invocations and remembers campaign totals.
+// tallyObserver counts the runner's events and remembers campaign totals.
 type tallyObserver struct {
 	muts, cases, reboots int
 	campaign             *CampaignEvent
 }
 
-func (o *tallyObserver) OnMuTStart(MuTStartEvent) { o.muts++ }
-func (o *tallyObserver) OnCaseDone(CaseEvent)     { o.cases++ }
-func (o *tallyObserver) OnReboot(RebootEvent)     { o.reboots++ }
-func (o *tallyObserver) OnCampaignDone(ev CampaignEvent) {
-	cp := ev
-	o.campaign = &cp
+func (o *tallyObserver) Observe(e Event) {
+	switch ev := e.(type) {
+	case *MuTStartEvent:
+		o.muts++
+	case *CaseEvent:
+		o.cases++
+	case *RebootEvent:
+		o.reboots++
+	case *CampaignEvent:
+		cp := *ev
+		o.campaign = &cp
+	}
 }
 
 // TestObserverRebootCount: the observer's reboot stream agrees exactly
@@ -37,16 +43,16 @@ func TestObserverRebootCount(t *testing.T) {
 		t.Fatal("Windows 98 campaign had no reboots; the test needs a crashy OS")
 	}
 	if tally.reboots != res.Reboots {
-		t.Errorf("OnReboot fired %d times, campaign recorded %d reboots", tally.reboots, res.Reboots)
+		t.Errorf("RebootEvent fired %d times, campaign recorded %d reboots", tally.reboots, res.Reboots)
 	}
 	if tally.cases != res.CasesRun {
-		t.Errorf("OnCaseDone fired %d times, campaign ran %d cases", tally.cases, res.CasesRun)
+		t.Errorf("CaseEvent fired %d times, campaign ran %d cases", tally.cases, res.CasesRun)
 	}
 	if tally.muts != len(res.Results) {
-		t.Errorf("OnMuTStart fired %d times, campaign has %d MuT results", tally.muts, len(res.Results))
+		t.Errorf("MuTStartEvent fired %d times, campaign has %d MuT results", tally.muts, len(res.Results))
 	}
 	if tally.campaign == nil {
-		t.Fatal("OnCampaignDone never fired")
+		t.Fatal("no CampaignEvent fired")
 	}
 	if tally.campaign.CasesRun != res.CasesRun || tally.campaign.Reboots != res.Reboots {
 		t.Errorf("campaign event %+v disagrees with result (%d cases, %d reboots)",

@@ -19,11 +19,14 @@ const storeOracleCap = 120
 // caseCounter counts cases the engine actually executed; a store hit
 // replays a shard without running any.
 type caseCounter struct {
-	core.NopObserver
 	n atomic.Uint64
 }
 
-func (c *caseCounter) OnCaseDone(core.CaseEvent) { c.n.Add(1) }
+func (c *caseCounter) Observe(ev core.Event) {
+	if _, ok := ev.(*core.CaseEvent); ok {
+		c.n.Add(1)
+	}
+}
 
 func campaignCSV(t *testing.T, target ballista.OS, res *ballista.Result) []byte {
 	t.Helper()
