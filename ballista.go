@@ -277,10 +277,12 @@ func FleetEnv() fleet.Env { return FleetEnvWithSpans(nil) }
 // spans link under its per-lease unit spans (and, through the trace ID
 // set at join, back to the coordinator's campaign).
 func FleetEnvWithSpans(rec *SpanRecorder) fleet.Env {
-	return fleetEnv(rec, nil)
+	return fleetEnv(rec, nil, nil)
 }
 
-func fleetEnv(rec *SpanRecorder, st *ResultStore) fleet.Env {
+// fleetEnv builds the worker's engine factories; rec, st and obs (each
+// may be nil) are threaded into every farm shard executor it builds.
+func fleetEnv(rec *SpanRecorder, st *ResultStore, obs Observer) fleet.Env {
 	return fleet.Env{
 		NewShardExecutor: func(spec fleet.CampaignSpec) (fleet.ShardExecutor, error) {
 			cfg, err := fleetSpecConfig(spec)
@@ -289,6 +291,7 @@ func fleetEnv(rec *SpanRecorder, st *ResultStore) fleet.Env {
 			}
 			cfg.Spans = rec
 			cfg.Store = st
+			cfg.Observer = obs
 			return farm.NewExecutor(farm.Config{Config: cfg}, suite.NewRegistry(), Dispatch, suite.SetupFixtures), nil
 		},
 		NewChainEvaluator: func(spec fleet.CampaignSpec) (fleet.ChainEvaluator, error) {
@@ -339,6 +342,11 @@ type FleetWorkerConfig struct {
 	// code-version stamp, so a mixed-version fleet never shares entries
 	// across builds.
 	Store *ResultStore
+	// Observer, when non-nil, receives the events of every farm shard
+	// this worker executes (MuT starts, cases, reboots), as a local
+	// campaign's observer does.  With Slots above one it is called from
+	// several goroutines at once.
+	Observer Observer
 }
 
 // RunFleetWorker joins a fleet coordinator and works its campaign with
@@ -348,7 +356,7 @@ func RunFleetWorker(ctx context.Context, fc FleetWorkerConfig) error {
 		Client: fleet.ClientConfig{
 			BaseURL: fc.URL, Chaos: fc.Chaos, ChaosStats: fc.ChaosStats,
 		},
-		Name: fc.Name, Slots: fc.Slots, Env: fleetEnv(fc.Spans, fc.Store),
+		Name: fc.Name, Slots: fc.Slots, Env: fleetEnv(fc.Spans, fc.Store, fc.Observer),
 		Spans: fc.Spans,
 	})
 }

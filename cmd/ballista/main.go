@@ -265,7 +265,7 @@ func main() {
 	opts = append(opts, ballista.WithObserver(observer))
 
 	if *joinURL != "" {
-		runJoin(*joinURL, fleetFlags.WorkerName(), *workers, plan, chaosStats, spanRec, resultStore)
+		runJoin(*joinURL, fleetFlags.WorkerName(), *workers, plan, chaosStats, spanRec, resultStore, observer)
 		return
 	}
 
@@ -425,7 +425,7 @@ func reportCampaign(target ballista.OS, res *ballista.Result, elapsed time.Durat
 // campaign completes or a signal stops it.  The chaos flags arm the
 // client-side transport plan (the "net" preset); the substrate plan
 // comes from the coordinator's campaign spec.
-func runJoin(url, name string, slots int, plan *ballista.ChaosPlan, stats *ballista.ChaosStats, spans *ballista.SpanRecorder, st *ballista.ResultStore) {
+func runJoin(url, name string, slots int, plan *ballista.ChaosPlan, stats *ballista.ChaosStats, spans *ballista.SpanRecorder, st *ballista.ResultStore, obs ballista.Observer) {
 	ctx, stop, caught := signalContext()
 	defer stop()
 	if plan != nil && stats == nil {
@@ -433,7 +433,7 @@ func runJoin(url, name string, slots int, plan *ballista.ChaosPlan, stats *balli
 	}
 	err := ballista.RunFleetWorker(ctx, ballista.FleetWorkerConfig{
 		URL: url, Name: name, Slots: slots, Chaos: plan, ChaosStats: stats,
-		Spans: spans, Store: st,
+		Spans: spans, Store: st, Observer: obs,
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) {

@@ -116,20 +116,25 @@ type DefectSpec struct {
 	WideOnly bool
 }
 
-// Outcome records everything observable about one call execution.
+// Outcome records everything observable about one call execution.  Its
+// fields are ordered to pack into 56 bytes.
 type Outcome struct {
 	// Completed: the call returned to its caller.
 	Completed bool
-	Ret       int64
-	RetF      float64
+	// Faulted says Fault is the user-mode memory fault that MemFault
+	// delivered as the call's exception or signal.
+	Faulted bool
+	Fault   mem.Fault
 	// Err is errno (Unix) or the GetLastError value; ErrReported says the
 	// call signalled an error to its caller.
-	Err         uint32
-	ErrReported bool
+	Err  uint32
+	Ret  int64
+	RetF float64
 	// Exception is a Win32 SEH code or (IsSignal) a POSIX signal number
 	// that was not handled — an Abort in CRASH terms.
-	Exception uint32
-	IsSignal  bool
+	Exception   uint32
+	ErrReported bool
+	IsSignal    bool
 	// Hung: the call can never return (Restart in CRASH terms).
 	Hung bool
 	// Crashed: the machine went down during the call (Catastrophic).
@@ -350,6 +355,9 @@ func (c *Call) CrashedOut() {
 // abort mechanism: SIGSEGV (SIGBUS for kernel-range touches) on Unix,
 // EXCEPTION_ACCESS_VIOLATION on Windows.
 func (c *Call) MemFault(f *mem.Fault) {
+	if !c.done {
+		c.Out.Fault, c.Out.Faulted = *f, true
+	}
 	if c.Traits.Unix {
 		if f.Kind == mem.FaultKernelRange {
 			c.Signal(SIGBUS)

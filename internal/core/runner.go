@@ -106,6 +106,9 @@ type Runner struct {
 	// first one so that unobserved runners (a fresh one per scarcity
 	// probe and per explore machine) stay small.
 	ev *CaseEvent
+	// frame is the case arena every test case runs in, made on the first
+	// case (see caseFrame).
+	frame *caseFrame
 
 	kernel *kern.Kernel
 	// spans is the flight recorder (nil when disabled); spanParent is
@@ -348,7 +351,10 @@ func (r *Runner) runCase(m catalog.MuT, impl Impl, types []*DataType, tc Case, w
 	if r.condemned {
 		// A wedged case abandoned this machine; bank its reboot count
 		// and boot fresh next case so the report stays deterministic.
+		// The abandoned call's goroutine may still hold the case arena,
+		// so the arena is dropped with the machine, never reused.
 		r.condemned = false
+		r.frame = nil
 		if r.kernel != nil {
 			r.carryEpoch += r.kernel.Epoch
 			r.kernel = nil
@@ -358,18 +364,42 @@ func (r *Runner) runCase(m catalog.MuT, impl Impl, types []*DataType, tc Case, w
 	return cls, out
 }
 
-// caseFrame is one test case's state, allocated as one object: the
-// constructors' environment, the call and its argument words.
+// caseFrame is the runner's case arena: one test case's state, reused by
+// the next case.  It holds the constructors' environment, the call with
+// its argument words and outcome, and the arena the case's process runs
+// in (its process block and page backings).  The first case allocates
+// the frame and the process arena; after that a case costs no fresh
+// memory for them.
+//
+// Everything in the frame lives exactly one case: newFrame overwrites it
+// and starts the next process in the same memory.  So nothing a case
+// hands out may point into it once the case is classified.  Observer
+// events, spans, findings, reproducers and store entries copy what they
+// keep; the *api.Outcome that execCase returns is valid until the
+// runner's next case.  Only the runner's own test process is reused:
+// kernel objects, files, pipes and child processes a case creates are
+// separate objects that the machine, shared or not, keeps as before.
+// A condemned machine drops the frame (see runCase), and a farm worker
+// that recovers a panic drops its whole runner, frame included.
 type caseFrame struct {
 	env  Env
 	call api.Call
 	args [catalog.MaxParams]api.Arg
+	proc *kern.Arena
 }
 
 // newFrame starts a test case in a fresh process on machine k, under the
-// configured load.
+// configured load, reusing the runner's case arena.
 func (r *Runner) newFrame(k *kern.Kernel, wide bool) *caseFrame {
-	f := &caseFrame{env: Env{K: k, P: k.NewProcess(), Profile: r.profile, Wide: wide}}
+	f := r.frame
+	if f == nil {
+		f = &caseFrame{proc: new(kern.Arena)}
+		r.frame = f
+	}
+	*f = caseFrame{
+		env:  Env{K: k, P: f.proc.Process(k), Profile: r.profile, Wide: wide, cleanups: f.env.cleanups[:0]},
+		proc: f.proc,
+	}
 	r.applyLoad(&f.env)
 	return f
 }
@@ -415,7 +445,8 @@ func (f *caseFrame) finish() {
 
 // execCase is the bare single-case execution: fixture, fresh process,
 // constructors, dispatch, classification.  The returned Outcome is nil
-// for constructor-failure skips (the case never ran).
+// for constructor-failure skips (the case never ran); otherwise it lives
+// in the case arena and is valid until the runner's next case.
 func (r *Runner) execCase(m catalog.MuT, impl Impl, types []*DataType, tc Case, wide bool) (RawClass, *api.Outcome) {
 	k := r.machine()
 	if r.fixture != nil {
@@ -669,6 +700,8 @@ func (r *Runner) applyLoad(env *Env) {
 // RunProbe executes one identified test case and additionally returns
 // the error code the call reported (errno or GetLastError) — used by the
 // Hindering-failure oracle, which must inspect codes, not just classes.
+// The code is copied out of the case's Outcome, which the runner's next
+// case reuses.
 func (r *Runner) RunProbe(m catalog.MuT, tc Case, wide bool) (RawClass, uint32, error) {
 	impl, types, err := r.resolve(m, tc)
 	if err != nil {

@@ -34,16 +34,16 @@ func (e *Env) OnCleanup(f func()) { e.cleanups = append(e.cleanups, f) }
 
 // Cleanup tears down constructor state.  It is a no-op on a crashed
 // machine — there is nothing left to clean, the paper's harness rebooted
-// instead.
+// instead.  Either way the actions are dropped so they retain nothing,
+// and the list keeps its capacity for the next case.
 func (e *Env) Cleanup() {
-	if e.K.Crashed() {
-		e.cleanups = nil
-		return
+	if !e.K.Crashed() {
+		for i := len(e.cleanups) - 1; i >= 0; i-- {
+			e.cleanups[i]()
+		}
 	}
-	for i := len(e.cleanups) - 1; i >= 0; i-- {
-		e.cleanups[i]()
-	}
-	e.cleanups = nil
+	clear(e.cleanups)
+	e.cleanups = e.cleanups[:0]
 }
 
 // Constructor materializes a test value into an argument word inside the

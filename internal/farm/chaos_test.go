@@ -10,6 +10,7 @@ import (
 
 	"ballista"
 	"ballista/internal/chaos"
+	"ballista/internal/core"
 	"ballista/internal/farm"
 )
 
@@ -199,4 +200,52 @@ func TestFarmPersistentPanicMarksIncomplete(t *testing.T) {
 		t.Fatalf("resume after persistent panics: %v", err)
 	}
 	sameOSResult(t, "resumed-after-panics vs fault-free", resumed, runFarm(t, 2, ballista.WithCap(smallCap)))
+}
+
+// TestFarmSpawnScarcityNeverFailsTheHarness: a kern.spawn rule models a
+// machine out of process slots for the code under test (fork,
+// CreateProcess), never for the harness's own test process.  With the
+// rule firing on every decision, no shard may be quarantined, every case
+// must still run, and the report must not depend on the worker count.
+// The rule must still fail API-level spawns: Linux's fork cases reach
+// one (no WinNT CreateProcess case at this cap gets that far).
+func TestFarmSpawnScarcityNeverFailsTheHarness(t *testing.T) {
+	plan := &chaos.Plan{Seed: 7, Rules: []chaos.Rule{
+		{Op: chaos.OpKernSpawn, RatePerMille: 1000},
+	}}
+	var spawnsFailed uint64
+	for _, o := range []ballista.OS{ballista.WinNT, ballista.Linux} {
+		t.Run(o.WireName(), func(t *testing.T) {
+			free, err := ballista.RunFarm(context.Background(), o,
+				ballista.FarmConfig{Workers: 1}, ballista.WithCap(testCap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var one *core.OSResult
+			for _, workers := range []int{1, 4} {
+				stats := chaos.NewStats()
+				f := ballista.NewFarm(o, ballista.FarmConfig{Workers: workers},
+					ballista.WithCap(testCap), ballista.WithChaos(plan), ballista.WithChaosStats(stats))
+				res, err := f.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if qs := f.Quarantined(); len(qs) != 0 {
+					t.Fatalf("%d workers: %d shards quarantined, first: %+v", workers, len(qs), qs[0])
+				}
+				if res.CasesRun != free.CasesRun {
+					t.Errorf("%d workers: %d cases ran, the chaos-free run %d", workers, res.CasesRun, free.CasesRun)
+				}
+				spawnsFailed += stats.Snapshot().Injected[chaos.OpKernSpawn]
+				if one == nil {
+					one = res
+				} else {
+					sameOSResult(t, "spawn scarcity, 1 vs 4 workers", one, res)
+				}
+			}
+		})
+	}
+	if spawnsFailed == 0 {
+		t.Error("the spawn rule never fired: no API-level spawn consulted it")
+	}
 }

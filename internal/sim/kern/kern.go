@@ -281,7 +281,8 @@ type processBlock struct {
 }
 
 // NewProcess creates a fresh process with its own address space, standard
-// handles and an empty descriptor table.
+// handles and an empty descriptor table: the process that fork and
+// CreateProcess spawn.
 func (k *Kernel) NewProcess() *Process {
 	// An armed kern.spawn scarcity rule models a machine out of process
 	// slots: creation is refused outright and callers (fork,
@@ -289,8 +290,39 @@ func (k *Kernel) NewProcess() *Process {
 	if _, ok := k.chaos.Fault(chaos.OpKernSpawn, "spawn"); ok {
 		return nil
 	}
+	return k.startProcess(new(processBlock), nil)
+}
+
+// Arena is the memory of a test harness's own process, reused by every
+// process started in it: one process block and a free list of page
+// backings.  A test harness starts each test case's process in its arena
+// with Process, so after the first case a process costs no fresh memory.
+// The zero value is an empty arena.
+//
+// Starting a process in the arena ends the previous one: its block is
+// overwritten and the pages it wrote go back to the free list, cleared.
+// Only that per-process memory is reused.  Kernel objects, files, pipes
+// and sockets the previous process created, and processes it spawned,
+// are separate objects the arena never touches, so they live on as the
+// kernel holds them.  An arena, like the machine it runs on, is driven by
+// one goroutine; a harness that may still hold the previous process (an
+// abandoned call) must drop the arena instead of reusing it.
+type Arena struct {
+	b     processBlock
+	pages mem.Pages
+}
+
+// Process starts a fresh process on k in the arena, as NewProcess does.
+// It is the harness's own test process, not a spawn by the code under
+// test, so it never consults the kern.spawn scarcity rule.
+func (a *Arena) Process(k *Kernel) *Process { return k.startProcess(&a.b, &a.pages) }
+
+// startProcess initializes b as a fresh process on k whose address space
+// draws its backings from pages (nil: fresh ones).  Every field of b is
+// assigned, so a block that held an earlier process starts exactly as a
+// new one does.
+func (k *Kernel) startProcess(b *processBlock, pages *mem.Pages) *Process {
 	k.stats.Processes++
-	b := new(processBlock)
 	p := &b.p
 	*p = Process{
 		K:       k,
@@ -305,7 +337,7 @@ func (k *Kernel) NewProcess() *Process {
 	p.handles = p.handleRows[:0]
 	p.fds = p.fdRows[:0]
 	p.env = p.envRows[:3]
-	mem.Init(p.AS)
+	mem.Init(p.AS, pages)
 	p.AS.SetStats(&k.memStats)
 	p.AS.SetInjector(k.chaos)
 	k.nextPID++

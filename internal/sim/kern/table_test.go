@@ -379,11 +379,16 @@ func TestTablesMatchMapModel(t *testing.T) {
 }
 
 // TestNewProcessAllocs: a fresh process, with its address space, main
-// thread, console pipes and tables, is one allocation.
+// thread, console pipes and tables, is one allocation, and a process
+// started again in a warm arena is none.
 func TestNewProcessAllocs(t *testing.T) {
-	const budget = 1
 	k := New(ArchNT)
-	if allocs := testing.AllocsPerRun(100, func() { k.NewProcess() }); allocs > budget {
-		t.Errorf("NewProcess allocates %.1f times, want at most %d", allocs, budget)
+	if allocs := testing.AllocsPerRun(100, func() { k.NewProcess() }); allocs != 1 {
+		t.Errorf("NewProcess allocates %.1f times, want 1", allocs)
+	}
+	var a Arena
+	a.Process(k)
+	if allocs := testing.AllocsPerRun(100, func() { a.Process(k) }); allocs != 0 {
+		t.Errorf("a recycled process allocates %.1f times, want 0", allocs)
 	}
 }

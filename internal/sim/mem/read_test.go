@@ -335,8 +335,8 @@ func TestReadSemantics(t *testing.T) {
 }
 
 // TestReadAllocs gates the per-case read paths: scalar reads allocate
-// nothing, and a C string ending on its first page costs only the
-// returned string.
+// nothing, and a C string costs only the returned string, whether it
+// ends on its first page or spans five.
 func TestReadAllocs(t *testing.T) {
 	as := New()
 	a, err := as.Alloc(2*PageSize, ProtRW)
@@ -344,6 +344,12 @@ func TestReadAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = as.WriteCString(a+PageSize-40, "ends on its first page")
+	long := strings.Repeat("0123456789abcdef", 1024)
+	b, err := as.Alloc(5*PageSize, ProtRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = as.WriteCString(b+10, long)
 	for _, tc := range []struct {
 		name string
 		want float64
@@ -358,6 +364,11 @@ func TestReadAllocs(t *testing.T) {
 		{"CString", 1, func() {
 			if s, f := as.CString(a + PageSize - 40); f != nil || s != "ends on its first page" {
 				t.Fatalf("CString = %q, %v", s, f)
+			}
+		}},
+		{"CString over five pages", 1, func() {
+			if s, f := as.CString(b + 10); f != nil || s != long {
+				t.Fatalf("CString = %d bytes, %v", len(s), f)
 			}
 		}},
 	} {

@@ -53,8 +53,27 @@ func allocFilled(e *core.Env, data []byte, prot mem.Prot) (mem.Addr, error) {
 	if f := e.P.AS.Write(a, data); f != nil {
 		return 0, f
 	}
+	return protectBlock(e, a, uint32(len(data)), prot)
+}
+
+// allocString maps an n-byte block and fills it with s followed by
+// zeros, writing s in place rather than through a padded copy.
+func allocString(e *core.Env, s string, n uint32, prot mem.Prot) (mem.Addr, error) {
+	a, err := e.P.AS.Alloc(n, mem.ProtRW)
+	if err != nil {
+		return 0, err
+	}
+	if f := e.P.AS.WriteStringPadded(a, s, n, 0); f != nil {
+		return 0, f
+	}
+	return protectBlock(e, a, n, prot)
+}
+
+// protectBlock gives the filled n-byte block at a its final protection
+// and returns its address.
+func protectBlock(e *core.Env, a mem.Addr, n uint32, prot mem.Prot) (mem.Addr, error) {
 	if prot != mem.ProtRW {
-		if err := e.P.AS.Protect(a, uint32(len(data)), prot); err != nil {
+		if err := e.P.AS.Protect(a, n, prot); err != nil {
 			return 0, err
 		}
 	}
@@ -64,17 +83,26 @@ func allocFilled(e *core.Env, data []byte, prot mem.Prot) (mem.Addr, error) {
 // allocCString materializes a NUL-terminated string, UTF-16 when the
 // environment is running a UNICODE variant.
 func allocCString(e *core.Env, s string, prot mem.Prot) (mem.Addr, error) {
-	var b []byte
-	if e.Wide {
-		b = make([]byte, 0, 2*len(s)+2)
-		for _, r := range s {
-			b = append(b, byte(r), byte(uint16(r)>>8))
-		}
-		b = append(b, 0, 0)
-	} else {
-		b = append([]byte(s), 0)
+	if !e.Wide {
+		return allocString(e, s, uint32(len(s))+1, prot)
 	}
+	b := make([]byte, 0, 2*len(s)+2)
+	for _, r := range s {
+		b = append(b, byte(r), byte(uint16(r)>>8))
+	}
+	b = append(b, 0, 0)
 	return allocFilled(e, b, prot)
+}
+
+// repeatAlphabet returns n letters cycling through the alphabet from
+// first ('a' or 'A'): the constant image of a long string test value,
+// built once rather than per case.
+func repeatAlphabet(first byte, n int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = first + byte(i%26)
+	}
+	return string(b)
 }
 
 // freedBuf maps then frees a block, yielding a dangling pointer.

@@ -2,6 +2,7 @@ package suite
 
 import (
 	"math"
+	"strings"
 
 	"ballista/internal/api"
 	"ballista/internal/clib"
@@ -102,7 +103,7 @@ func registerCLib(r *core.Registry) {
 		}),
 		strbufEnd("ZERO256", 256, false),
 		value("PAGE4K", false, func(e *core.Env) (api.Arg, error) {
-			a, err := allocFilled(e, []byte(FixtureContent), mem.ProtRW)
+			a, err := allocString(e, FixtureContent, uint32(len(FixtureContent)), mem.ProtRW)
 			return api.Ptr(a), err
 		}),
 		value("BUF16K", false, func(e *core.Env) (api.Arg, error) {
@@ -150,7 +151,7 @@ func registerCLib(r *core.Registry) {
 		value("ONE", true, func(*core.Env) (api.Arg, error) { return api.Ptr(1), nil }),
 		value("UNMAPPED", true, func(*core.Env) (api.Arg, error) { return api.Ptr(addrUnmapped), nil }),
 		value("BUFFER_CAST", true, func(e *core.Env) (api.Arg, error) {
-			a, err := allocFilled(e, []byte(garbageFileBytes), mem.ProtRW)
+			a, err := allocString(e, garbageFileBytes, uint32(len(garbageFileBytes)), mem.ProtRW)
 			return api.Ptr(a), err
 		}),
 		value("ZERO_FILLED", true, func(e *core.Env) (api.Arg, error) {
@@ -303,6 +304,16 @@ func strVal(name, s string, exceptional bool) core.TestValue {
 	})
 }
 
+// The long strings of the input-string, path and environment-name pools.
+// Their constructors name them rather than capture them, so building a
+// registry allocates no closure for them.
+var (
+	pageSizedString = repeatAlphabet('a', 3000)
+	huge16KString   = repeatAlphabet('A', 16384)
+	tooLongPath     = ScratchDir + "/" + strings.Repeat("p", 512)
+	hugeEnvName     = strings.Repeat("E", 8192)
+)
+
 // cstringPool is the shared input-string pool: content variants over
 // valid storage.  AT_PAGE_END places the terminator in the last byte of
 // a page, so CRT string intrinsics that read a word past the NUL
@@ -317,19 +328,11 @@ func cstringPool(name string) *core.DataType {
 		strVal("SENTENCE", "the quick brown fox jumps over the lazy dog", false),
 		strVal("NONASCII", "\xfe\xed\xfa\xce\xc0\xff\xee", false),
 		value("PAGE_SIZED", false, func(e *core.Env) (api.Arg, error) {
-			long := make([]byte, 3000)
-			for i := range long {
-				long[i] = byte('a' + i%26)
-			}
-			a, err := allocCString(e, string(long), mem.ProtRW)
+			a, err := allocCString(e, pageSizedString, mem.ProtRW)
 			return api.Ptr(a), err
 		}),
 		value("HUGE_16K", false, func(e *core.Env) (api.Arg, error) {
-			long := make([]byte, 16384)
-			for i := range long {
-				long[i] = byte('A' + i%26)
-			}
-			a, err := allocCString(e, string(long), mem.ProtRW)
+			a, err := allocCString(e, huge16KString, mem.ProtRW)
 			return api.Ptr(a), err
 		}),
 		value("AT_PAGE_END", true, func(e *core.Env) (api.Arg, error) {
@@ -375,11 +378,7 @@ func pathPool(name, sep string) *core.DataType {
 		strVal("NEW_FILE", ScratchDir+"/fresh.txt", false),
 		strVal("MISSING_DIR_COMPONENT", "/no/such/dir/file.txt", false),
 		value("TOO_LONG", true, func(e *core.Env) (api.Arg, error) {
-			long := make([]byte, 512)
-			for i := range long {
-				long[i] = 'p'
-			}
-			a, err := allocCString(e, ScratchDir+"/"+string(long), mem.ProtRW)
+			a, err := allocCString(e, tooLongPath, mem.ProtRW)
 			return api.Ptr(a), err
 		}),
 		strVal("ILLEGAL_CHARS", "bad<|>*?name", true),

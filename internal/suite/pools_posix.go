@@ -19,6 +19,9 @@ const (
 	DirSize   = 128
 )
 
+// garbageStream is a DIR structure's worth of garbage-file bytes.
+const garbageStream = garbageFileBytes + garbageFileBytes + garbageFileBytes + "............"
+
 // MakeDIR materializes an open DIR struct for a directory path.
 func MakeDIR(p *kern.Process, path string) (mem.Addr, error) {
 	buf, err := p.AS.Alloc(4096, mem.ProtRW)
@@ -177,7 +180,7 @@ func registerPOSIX(r *core.Registry) {
 			return api.Ptr(d), err
 		}),
 		value("GARBAGE_CONTENT", true, func(e *core.Env) (api.Arg, error) {
-			a, err := allocFilled(e, []byte(garbageFileBytes+garbageFileBytes+garbageFileBytes+"............"), mem.ProtRW)
+			a, err := allocString(e, garbageStream, uint32(len(garbageStream)), mem.ProtRW)
 			return api.Ptr(a), err
 		}),
 		value("FREED", true, func(e *core.Env) (api.Arg, error) {

@@ -25,6 +25,9 @@ const (
 	sizeSecAttrs     = 12
 )
 
+// envBlock is a valid, double-NUL-terminated environment block.
+const envBlock = "PATH=/bin\x00TEMP=/tmp\x00\x00"
+
 func registerWin32Pointers(r *core.Registry) {
 	r.MustAdd(ptrPool("LPVOID", 4096, nil))
 	r.MustAdd(ptrPool("LPCVOID", 4096, []byte(FixtureContent)))
@@ -149,19 +152,14 @@ func registerWin32Pointers(r *core.Registry) {
 		strVal("MISSING", "BALLISTA_NO_SUCH_VAR", false),
 		strVal("WITH_EQUALS", "BAD=NAME", true),
 		value("HUGE_NAME", true, func(e *core.Env) (api.Arg, error) {
-			long := make([]byte, 8192)
-			for i := range long {
-				long[i] = 'E'
-			}
-			a, err := allocCString(e, string(long), mem.ProtRW)
+			a, err := allocCString(e, hugeEnvName, mem.ProtRW)
 			return api.Ptr(a), err
 		}),
 	}})
 	r.MustAdd(&core.DataType{Name: "ENVBLOCK", Values: []core.TestValue{
 		value("NULL", true, func(*core.Env) (api.Arg, error) { return api.Ptr(0), nil }),
 		value("VALID_BLOCK", false, func(e *core.Env) (api.Arg, error) {
-			// A double-NUL-terminated environment block.
-			a, err := allocFilled(e, []byte("PATH=/bin\x00TEMP=/tmp\x00\x00"), mem.ProtRW)
+			a, err := allocString(e, envBlock, uint32(len(envBlock)), mem.ProtRW)
 			return api.Ptr(a), err
 		}),
 		value("GARBAGE", true, func(*core.Env) (api.Arg, error) { return api.Ptr(addrUnmapped), nil }),

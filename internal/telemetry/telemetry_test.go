@@ -58,6 +58,32 @@ func TestTraceWriterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceRecordsOmitEmptyOS: the records of no one OS carry no "os"
+// key at all, while a case record keeps its replay identity's OS.
+func TestTraceRecordsOmitEmptyOS(t *testing.T) {
+	var buf bytes.Buffer
+	tw := NewTraceWriter(&buf)
+	tw.Observe(&core.FleetEvent{Kind: "worker_join", Worker: "w1"})
+	tw.Observe(&core.CrashEvent{Workload: "create(f0)", OSes: []string{"winnt"}})
+	tw.Observe(&core.ScarceEvent{MuT: "ReadFile", Env: "handle-starved", OSes: []string{"winnt"}})
+	tw.Observe(caseEvent(0, core.RawClean))
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("trace has %d lines, want 4", len(lines))
+	}
+	for _, line := range lines[:3] {
+		if strings.Contains(line, `"os":`) {
+			t.Errorf("record of no one OS carries an os key: %s", line)
+		}
+	}
+	if !strings.Contains(lines[3], `"os":"win98"`) {
+		t.Errorf("case record lost its OS: %s", lines[3])
+	}
+}
+
 func TestRingWraparound(t *testing.T) {
 	rg := NewRing(3)
 	if got := rg.Last(10); len(got) != 0 {

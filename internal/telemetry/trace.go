@@ -18,7 +18,9 @@ type TraceRecord struct {
 	// Type discriminates the record: "mut_start", "case", "reboot",
 	// "campaign", "shard", "chain", "fleet", "crash" or "scarce".
 	Type string `json:"type"`
-	OS   string `json:"os"`
+	// OS is the profile's wire name; records of no one OS ("fleet",
+	// "crash", "scarce") omit it.
+	OS   string `json:"os,omitempty"`
 	MuT  string `json:"mut,omitempty"`
 	Case []int  `json:"case,omitempty"`
 	Wide bool   `json:"wide,omitempty"`

@@ -9,6 +9,7 @@ import (
 	"ballista"
 	"ballista/internal/fleet"
 	"ballista/internal/report"
+	"ballista/internal/telemetry"
 	"ballista/internal/telemetry/span"
 )
 
@@ -155,5 +156,47 @@ func TestFleetSpanTraceLinkage(t *testing.T) {
 	}
 	if linked == 0 {
 		t.Fatal("no case span's chain linked back through mut and unit to the campaign trace")
+	}
+}
+
+// TestFleetWorkerTraceRecordsEveryCase: a fleet worker's observer sees
+// the cases it executes, as a local campaign's does.  One worker with a
+// trace writer works a whole loopback campaign, so its trace must hold
+// exactly one "case" record per case the merged report counts.
+func TestFleetWorkerTraceRecordsEveryCase(t *testing.T) {
+	coord, err := fleet.New(fleet.Config{
+		Spec: fleet.CampaignSpec{Kind: fleet.KindFarm, OS: "winnt", Cap: 30},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+
+	var trace bytes.Buffer
+	tw := telemetry.NewTraceWriter(&trace)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	werr := make(chan error, 1)
+	go func() {
+		werr <- ballista.RunFleetWorker(ctx, ballista.FleetWorkerConfig{
+			URL: ts.URL, Name: "trace-w", Slots: 2, Observer: tw,
+		})
+	}()
+	res, err := coord.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if err := <-werr; err != nil && err != context.Canceled {
+		t.Fatal(err)
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cases := bytes.Count(trace.Bytes(), []byte(`"type":"case"`))
+	if res.CasesRun == 0 || cases != res.CasesRun {
+		t.Errorf("worker trace holds %d case records, the campaign ran %d cases", cases, res.CasesRun)
 	}
 }
