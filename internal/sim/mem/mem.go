@@ -292,15 +292,17 @@ func New() *AddressSpace {
 // contents; Read, CString and WString return copies, never views.
 func Init(as *AddressSpace, pages *Pages) {
 	data := as.data
-	for _, b := range data {
-		pages.put(b)
+	if len(data) > 0 {
+		for _, b := range data {
+			pages.put(b)
+		}
+		if len(data) > maxFreePages {
+			// A map grown by an unusual case is dropped rather than
+			// kept at its largest size.
+			data = nil
+		}
+		clear(data)
 	}
-	if len(data) > maxFreePages {
-		// A map grown by an unusual case is dropped rather than kept
-		// at its largest size.
-		data = nil
-	}
-	clear(data)
 	*as = AddressSpace{
 		userNext: UserBase,
 		sysNext:  SystemBase + 0x01000000, // leave a window of unmapped system arena

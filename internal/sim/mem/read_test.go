@@ -334,9 +334,9 @@ func TestReadSemantics(t *testing.T) {
 	}
 }
 
-// TestReadAllocs gates the per-case read paths: scalar reads allocate
-// nothing, and a C string costs only the returned string, whether it
-// ends on its first page or spans five.
+// TestReadAllocs gates the per-case string paths: scalar reads allocate
+// nothing, a C string costs only the returned string, whether it ends on
+// its first page or spans five, and writing one costs nothing.
 func TestReadAllocs(t *testing.T) {
 	as := New()
 	a, err := as.Alloc(2*PageSize, ProtRW)
@@ -371,6 +371,7 @@ func TestReadAllocs(t *testing.T) {
 				t.Fatalf("CString = %d bytes, %v", len(s), f)
 			}
 		}},
+		{"WriteCString over five pages", 0, func() { _ = as.WriteCString(b+10, long) }},
 	} {
 		if got := testing.AllocsPerRun(100, tc.fn); got != tc.want {
 			t.Errorf("%s: %v allocs/op, want %v", tc.name, got, tc.want)
