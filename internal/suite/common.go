@@ -1,6 +1,8 @@
 package suite
 
 import (
+	"strings"
+
 	"ballista/internal/api"
 	"ballista/internal/core"
 	"ballista/internal/sim/mem"
@@ -98,11 +100,12 @@ func allocCString(e *core.Env, s string, prot mem.Prot) (mem.Addr, error) {
 // first ('a' or 'A'): the constant image of a long string test value,
 // built once rather than per case.
 func repeatAlphabet(first byte, n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = first + byte(i%26)
+	var b strings.Builder
+	b.Grow(n)
+	for i := 0; i < n; i++ {
+		b.WriteByte(first + byte(i%26))
 	}
-	return string(b)
+	return b.String()
 }
 
 // freedBuf maps then frees a block, yielding a dangling pointer.
