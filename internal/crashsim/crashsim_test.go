@@ -56,8 +56,9 @@ func TestFullyPersistedStateAlwaysLegal(t *testing.T) {
 		pol := PolicyFor(o)
 		for _, w := range Enumerate(nil, 2, 7, 40) {
 			ex := run(w, nil, pol)
+			base := baseState(ex)
 			for cp := 1; cp <= len(w.Ops); cp++ {
-				states := enumerateStates(ex, cp, pol)
+				states := enumerateStates(ex, cp, pol, base)
 				if len(states) < 1 {
 					t.Fatalf("%s at %s cp %d: empty legal-state set", o.WireName(), w.Key(), cp)
 				}

@@ -2,6 +2,7 @@ package crashsim
 
 import (
 	"errors"
+	"sync/atomic"
 
 	"ballista/internal/sim/fs"
 )
@@ -63,11 +64,23 @@ func errToken(err error) string {
 	}
 }
 
+// pending returns the workload's records up to crash point cp
+// (1-based: the crash lands after op cp-1), the ones a crash there may
+// have left unpersisted.
+func (ex *execution) pending(cp int) []fs.PersistRecord {
+	return ex.log.Records()[ex.baseLen:ex.marks[cp-1]]
+}
+
+// runs counts run calls, for the gate that Evaluate replays a workload
+// once per distinct durability policy.
+var runs atomic.Int64
+
 // run replays the workload on a fresh simulated FS under one durability
 // policy.  The fixture (first name exists with seeded bytes) executes
 // with the log attached so its records — always treated as durable —
 // assign the node ids the workload then shares.
 func run(w Workload, names []string, pol Policy) *execution {
+	runs.Add(1)
 	if len(names) == 0 {
 		names = DefaultNames()
 	}

@@ -2,7 +2,7 @@ package crashsim
 
 import (
 	"bytes"
-	"sort"
+	"math/bits"
 
 	"ballista/internal/sim/fs"
 )
@@ -32,11 +32,58 @@ const (
 	InvLinkCount = "link-count"
 )
 
-// checkState runs every persistence invariant against one post-crash
-// state and returns the sorted, deduplicated violation names.
-func checkState(st *DiskState, base *DiskState, pending []fs.PersistRecord, pol Policy) []string {
-	found := make(map[string]bool)
+// violationSet is a set of invariant names: bit i stands for
+// invariantNames[i].
+type violationSet uint8
 
+const (
+	violFsyncData violationSet = 1 << iota
+	violFsyncUnreachable
+	violLinkCount
+	violOrphanEntry
+	violOrphanInode
+	violRenameDup
+	violRenameLoss
+)
+
+// invariantNames lists the invariant names in sorted order, in the bit
+// order of violationSet.
+var invariantNames = [...]string{
+	InvFsyncData, InvFsyncUnreachable, InvLinkCount, InvOrphanEntry,
+	InvOrphanInode, InvRenameDup, InvRenameLoss,
+}
+
+// names returns the set's members in sorted order, never nil.
+func (s violationSet) names() []string {
+	out := make([]string, 0, bits.OnesCount8(uint8(s)))
+	for i, name := range invariantNames {
+		if s&(1<<i) != 0 {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// pointChecks holds one crash point's invariant obligations.  They
+// depend only on the base image, the pending records and the policy,
+// so they are worked out once per crash point and then checked against
+// every legal state.
+type pointChecks struct {
+	links     bool
+	reachable []int              // fsync'd nodes that must keep an entry
+	synced    []syncedFile       // fsync'd nodes that must hold their barrier's bytes
+	renames   []fs.PersistRecord // renames that must not leave both names
+	kept      []int              // renamed nodes that must keep some name
+}
+
+// syncedFile is the content an fsync barrier committed for one node.
+type syncedFile struct {
+	node int
+	data []byte
+}
+
+func newPointChecks(base *DiskState, pending []fs.PersistRecord, pol Policy) pointChecks {
+	c := pointChecks{links: pol.Links}
 	for i, r := range pending {
 		switch r.Kind {
 		case fs.PersistFsync:
@@ -54,17 +101,11 @@ func checkState(st *DiskState, base *DiskState, pending []fs.PersistRecord, pol 
 					dataLater = true
 				}
 			}
-			if !removedLater && st.entryCount(r.Node) == 0 {
-				found[InvFsyncUnreachable] = true
+			if !removedLater {
+				c.reachable = append(c.reachable, r.Node)
 			}
 			if !dataLater {
-				want := syncedData(base, pending[:i], r.Node)
-				f := st.Files[r.Node]
-				// A missing file object with nothing synced is the
-				// unreachable case, not a data-loss case.
-				if f == nil && len(want) > 0 || f != nil && !bytes.Equal(f.Data, want) {
-					found[InvFsyncData] = true
-				}
+				c.synced = append(c.synced, syncedFile{r.Node, syncedData(base, pending[:i], r.Node)})
 			}
 		case fs.PersistRename:
 			// Both names present is only a torn rename if nothing later
@@ -79,45 +120,71 @@ func checkState(st *DiskState, base *DiskState, pending []fs.PersistRecord, pol 
 					reMade = true
 				}
 			}
-			if id, ok := st.Entries[r.Path]; !reMade && ok && id == r.Node {
-				if id2, ok2 := st.Entries[r.Path2]; ok2 && id2 == r.Node {
-					found[InvRenameDup] = true
-				}
+			if !reMade {
+				c.renames = append(c.renames, r)
 			}
+			// Neither name present is only a lost rename for a file that
+			// durably existed and that the workload never removed.
 			removed := false
 			for _, p := range pending {
 				if p.Kind == fs.PersistRemove && p.Node == r.Node {
 					removed = true
 				}
 			}
-			if !removed && base.entryCount(r.Node) > 0 && st.entryCount(r.Node) == 0 {
-				found[InvRenameLoss] = true
+			if !removed && base.entryCount(r.Node) > 0 {
+				c.kept = append(c.kept, r.Node)
 			}
 		}
 	}
+	return c
+}
 
-	for _, id := range sortedEntryTargets(st) {
+// check runs every persistence invariant against one post-crash state
+// and returns the violated ones.
+func (c *pointChecks) check(st *DiskState) violationSet {
+	var found violationSet
+	for _, node := range c.reachable {
+		if st.entryCount(node) == 0 {
+			found |= violFsyncUnreachable
+		}
+	}
+	for _, s := range c.synced {
+		f := st.Files[s.node]
+		// A missing file object with nothing synced is the unreachable
+		// case, not a data-loss case.
+		if f == nil && len(s.data) > 0 || f != nil && !bytes.Equal(f.Data, s.data) {
+			found |= violFsyncData
+		}
+	}
+	for _, r := range c.renames {
+		if id, ok := st.Entries[r.Path]; ok && id == r.Node {
+			if id2, ok2 := st.Entries[r.Path2]; ok2 && id2 == r.Node {
+				found |= violRenameDup
+			}
+		}
+	}
+	for _, node := range c.kept {
+		if st.entryCount(node) == 0 {
+			found |= violRenameLoss
+		}
+	}
+
+	for _, id := range st.Entries {
 		f := st.Files[id]
-		if f == nil || (pol.Links && f.Nlink <= 0) {
-			found[InvOrphanEntry] = true
+		if f == nil || (c.links && f.Nlink <= 0) {
+			found |= violOrphanEntry
 		}
 	}
 	for id, f := range st.Files {
 		cnt := st.entryCount(id)
 		if f.Nlink > 0 && cnt == 0 {
-			found[InvOrphanInode] = true
+			found |= violOrphanInode
 		}
-		if pol.Links && cnt > 0 && cnt != f.Nlink {
-			found[InvLinkCount] = true
+		if c.links && cnt > 0 && cnt != f.Nlink {
+			found |= violLinkCount
 		}
 	}
-
-	out := make([]string, 0, len(found))
-	for v := range found {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	return found
 }
 
 // syncedData computes the content the barrier committed: the base image
@@ -134,13 +201,4 @@ func syncedData(base *DiskState, before []fs.PersistRecord, node int) []byte {
 		}
 	}
 	return tmp.Files[node].Data
-}
-
-func sortedEntryTargets(st *DiskState) []int {
-	out := make([]int, 0, len(st.Entries))
-	for _, id := range st.Entries {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
 }

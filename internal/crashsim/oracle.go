@@ -1,8 +1,7 @@
 package crashsim
 
 import (
-	"fmt"
-	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,9 +11,10 @@ import (
 	"ballista/internal/osprofile"
 )
 
-// Verdict is one OS profile's view of a workload: the per-op outcome
-// tokens, and per crash point the count of legal post-crash states and
-// the union of invariant violations found across them.
+// Verdict is one durability policy's view of a workload, shared by the
+// OS profiles with that policy: the per-op outcome tokens, and per
+// crash point the count of legal post-crash states and the union of
+// invariant violations found across them.
 type Verdict struct {
 	Results    []string   `json:"results"`
 	States     []int      `json:"states"`
@@ -115,10 +115,13 @@ func (f *Finding) Interesting() bool { return f.Divergent || f.Violating }
 var evaluations atomic.Int64
 
 // Evaluate replays one workload across the OS set and runs the full
-// crash-state enumeration and invariant check on each profile.  It is a
-// pure function of (w, names, oses): sweeps stay deterministic for any
-// worker count because evaluation order cannot matter.  Nothing changes
-// the returned verdicts afterwards, so findings may share equal ones.
+// crash-state enumeration and invariant check under each profile's
+// durability policy.  A verdict is a pure function of (w, names,
+// policy), so the evaluation runs once per distinct policy and the
+// profiles that share one share its *Verdict; the finding still holds a
+// verdict for every profile.  Sweeps stay deterministic for any worker
+// count because evaluation order cannot matter.  Nothing changes the
+// returned verdicts afterwards, so findings may share equal ones.
 func Evaluate(w Workload, names []string, oses []osprofile.OS) *Finding {
 	evaluations.Add(1)
 	if len(names) == 0 {
@@ -128,44 +131,55 @@ func Evaluate(w Workload, names []string, oses []osprofile.OS) *Finding {
 		oses = osprofile.All()
 	}
 	f := &Finding{Workload: w, Verdicts: make(map[string]*Verdict, len(oses))}
+	byPolicy := make(map[Policy]*Verdict, len(oses))
 	for _, o := range oses {
 		pol := PolicyFor(o)
-		ex := run(w, names, pol)
-		v := &Verdict{Results: ex.results}
-		base := baseState(ex)
-		for cp := 1; cp <= len(w.Ops); cp++ {
-			states := enumerateStates(ex, cp, pol)
-			pending := ex.log.Records()[ex.baseLen:ex.marks[cp-1]]
-			union := make(map[string]bool)
-			for _, st := range states {
-				for _, viol := range checkState(st, base, pending, pol) {
-					union[viol] = true
-				}
+		v, ok := byPolicy[pol]
+		if !ok {
+			v = evaluatePolicy(w, names, pol)
+			byPolicy[pol] = v
+			if v.violating() {
+				f.Violating = true
 			}
-			vs := make([]string, 0, len(union))
-			for name := range union {
-				vs = append(vs, name)
-			}
-			sort.Strings(vs)
-			v.States = append(v.States, len(states))
-			v.Violations = append(v.Violations, vs)
 		}
 		f.Verdicts[o.WireName()] = v
-		if v.violating() {
-			f.Violating = true
-		}
 	}
 	first := f.Verdicts[oses[0].WireName()]
 	for _, o := range oses[1:] {
-		v := f.Verdicts[o.WireName()]
-		if !reflect.DeepEqual(v.Results, first.Results) ||
-			!reflect.DeepEqual(v.Violations, first.Violations) {
+		if v := f.Verdicts[o.WireName()]; v != first && !sameOutcome(v, first) {
 			f.Divergent = true
 			break
 		}
 	}
 	f.Signature = signature(w, f.Verdicts, oses)
 	return f
+}
+
+// evaluatePolicy replays w under one durability policy and judges every
+// crash point: the count of legal post-crash states and the sorted
+// union of the invariants they violate.
+func evaluatePolicy(w Workload, names []string, pol Policy) *Verdict {
+	ex := run(w, names, pol)
+	v := &Verdict{Results: ex.results}
+	base := baseState(ex)
+	for cp := 1; cp <= len(w.Ops); cp++ {
+		states := enumerateStates(ex, cp, pol, base)
+		checks := newPointChecks(base, ex.pending(cp), pol)
+		var union violationSet
+		for _, st := range states {
+			union |= checks.check(st)
+		}
+		v.States = append(v.States, len(states))
+		v.Violations = append(v.Violations, union.names())
+	}
+	return v
+}
+
+// sameOutcome reports whether two verdicts agree on every op result and
+// every crash point's violation set, the differential comparison.
+func sameOutcome(a, b *Verdict) bool {
+	return slices.Equal(a.Results, b.Results) &&
+		slices.EqualFunc(a.Violations, b.Violations, slices.Equal[[]string])
 }
 
 // signature abstracts a finding to its bug class — the op-kind chain,
@@ -200,7 +214,8 @@ func signature(w Workload, verdicts map[string]*Verdict, oses []osprofile.OS) st
 // divergence bit plus each profile's violation set.
 func essence(f *Finding, oses []osprofile.OS) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%v|", f.Divergent)
+	b.WriteString(strconv.FormatBool(f.Divergent))
+	b.WriteByte('|')
 	for i, o := range oses {
 		if i > 0 {
 			b.WriteString("/")

@@ -1,11 +1,84 @@
 package crashsim
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"ballista/internal/osprofile"
 	"ballista/internal/sim/fs"
 )
+
+// Key renders a readable canonical fingerprint of the state: each entry
+// as path=id in path order, then each file object as id:nlink:hex-data
+// in id order.  The oracle deduplicates through stateKeys' binary
+// encoding; this form keeps expected states legible in tests.
+func (st *DiskState) Key() string {
+	paths := make([]string, 0, len(st.Entries))
+	for p := range st.Entries {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	ids := make([]int, 0, len(st.Files))
+	for id := range st.Files {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	var b strings.Builder
+	for _, p := range paths {
+		fmt.Fprintf(&b, "%s=%d;", p, st.Entries[p])
+	}
+	b.WriteString("|")
+	for _, id := range ids {
+		f := st.Files[id]
+		fmt.Fprintf(&b, "%d:%d:%x;", id, f.Nlink, f.Data)
+	}
+	return b.String()
+}
+
+// TestStateKeysPartitionLikeKey: the binary dedupe key and the readable
+// Key split states into the same classes.  Within every legal-state set
+// of every MaxOps-3 workload, crash point and policy, the states the
+// binary key keeps apart have distinct Keys; across all those sets,
+// equal binary keys and equal Keys coincide, which also exercises the
+// states the dedupe merged.
+func TestStateKeysPartitionLikeKey(t *testing.T) {
+	var keys stateKeys
+	toKey := make(map[string]string)   // binary key → Key
+	fromKey := make(map[string]string) // Key → binary key
+	sets, states := 0, 0
+	for _, pol := range distinctPolicies(osprofile.All()) {
+		for _, w := range Enumerate(nil, 3, 7, 0) {
+			ex := run(w, nil, pol)
+			base := baseState(ex)
+			for cp := 1; cp <= len(w.Ops); cp++ {
+				set := enumerateStates(ex, cp, pol, base)
+				inSet := make(map[string]bool, len(set))
+				for _, st := range set {
+					bin, readable := string(keys.key(st)), st.Key()
+					if inSet[readable] {
+						t.Fatalf("%+v %s cp %d: two kept states share Key %q", pol, w.Key(), cp, readable)
+					}
+					inSet[readable] = true
+					if k, ok := toKey[bin]; ok && k != readable {
+						t.Fatalf("%+v %s cp %d: one binary key for Keys %q and %q", pol, w.Key(), cp, k, readable)
+					}
+					if b, ok := fromKey[readable]; ok && b != bin {
+						t.Fatalf("%+v %s cp %d: Key %q has two binary keys", pol, w.Key(), cp, readable)
+					}
+					toKey[bin], fromKey[readable] = readable, bin
+					states++
+				}
+				sets++
+			}
+		}
+	}
+	if len(toKey) == states {
+		t.Fatal("no state repeated across sets; the cross-set check proves nothing")
+	}
+	t.Logf("%d states in %d sets, %d distinct", states, sets, len(toKey))
+}
 
 // TestCrashStatesAfterTruncateGrow pins the legal post-crash states of a
 // file grown by truncate and then written inside the hole, under the
@@ -37,7 +110,7 @@ func TestCrashStatesAfterTruncateGrow(t *testing.T) {
 	ex.marks = append(ex.marks, log.Len())
 
 	var got []string
-	for _, st := range enumerateStates(ex, 1, PolicyFor(osprofile.Linux)) {
+	for _, st := range enumerateStates(ex, 1, PolicyFor(osprofile.Linux), baseState(ex)) {
 		got = append(got, st.Key())
 	}
 	want := []string{

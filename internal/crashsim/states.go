@@ -1,9 +1,8 @@
 package crashsim
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"encoding/binary"
+	"slices"
 
 	"ballista/internal/chaos"
 	"ballista/internal/sim/fs"
@@ -61,28 +60,46 @@ func (st *DiskState) entryCount(id int) int {
 	return n
 }
 
-// Key renders a canonical fingerprint of the state for deduplication.
-func (st *DiskState) Key() string {
-	paths := make([]string, 0, len(st.Entries))
+// stateKeys writes canonical binary fingerprints of disk states for
+// deduplication, reusing its buffers from one state to the next.  Two
+// states get equal keys exactly when their entries and file objects are
+// equal.
+type stateKeys struct {
+	buf   []byte
+	paths []string
+	ids   []int
+}
+
+// key encodes st: the entry count, then each entry in path order as a
+// length-prefixed path and its file id, then each file object in id
+// order as its id, link count, data length and data.  The result is
+// valid until the next call.
+func (k *stateKeys) key(st *DiskState) []byte {
+	k.paths = k.paths[:0]
 	for p := range st.Entries {
-		paths = append(paths, p)
+		k.paths = append(k.paths, p)
 	}
-	sort.Strings(paths)
-	ids := make([]int, 0, len(st.Files))
+	slices.Sort(k.paths)
+	k.ids = k.ids[:0]
 	for id := range st.Files {
-		ids = append(ids, id)
+		k.ids = append(k.ids, id)
 	}
-	sort.Ints(ids)
-	var b strings.Builder
-	for _, p := range paths {
-		fmt.Fprintf(&b, "%s=%d;", p, st.Entries[p])
+	slices.Sort(k.ids)
+	b := binary.AppendUvarint(k.buf[:0], uint64(len(k.paths)))
+	for _, p := range k.paths {
+		b = binary.AppendUvarint(b, uint64(len(p)))
+		b = append(b, p...)
+		b = binary.AppendVarint(b, int64(st.Entries[p]))
 	}
-	b.WriteString("|")
-	for _, id := range ids {
+	for _, id := range k.ids {
 		f := st.Files[id]
-		fmt.Fprintf(&b, "%d:%d:%x;", id, f.Nlink, f.Data)
+		b = binary.AppendVarint(b, int64(id))
+		b = binary.AppendVarint(b, int64(f.Nlink))
+		b = binary.AppendUvarint(b, uint64(len(f.Data)))
+		b = append(b, f.Data...)
 	}
-	return b.String()
+	k.buf = b
+	return b
 }
 
 // Application modes for one metadata record in a partial state.
@@ -210,11 +227,9 @@ type dataCut struct {
 // point cp (1-based: the crash lands after op cp-1), deduplicated, in
 // deterministic first-generation order.  The fully-persisted state is
 // always a member: "no reordering happened" is legal under every
-// policy.
-func enumerateStates(ex *execution, cp int, pol Policy) []*DiskState {
-	recs := ex.log.Records()
-	pending := recs[ex.baseLen:ex.marks[cp-1]]
-	base := baseState(ex)
+// policy.  base is the execution's baseState.
+func enumerateStates(ex *execution, cp int, pol Policy, base *DiskState) []*DiskState {
+	pending := ex.pending(cp)
 
 	// Forced records: an fsync barrier commits every earlier data record
 	// on its node; under FsyncEntries it also commits the node's entry
@@ -335,19 +350,22 @@ func enumerateStates(ex *execution, cp int, pol Policy) []*DiskState {
 		dataCombos = [][]dataCut{nil}
 	}
 
+	// Each combination resolves every record's application into these,
+	// indexed by position in pending; the states then land the records
+	// in log order.
+	metaAt := make([]metaMode, len(pending))
+	fullAt := make([]bool, len(pending))
+	tornAt := make([]bool, len(pending))
+	var keys stateKeys
 	seen := make(map[string]bool)
 	var out []*DiskState
 	for _, mc := range metaCombos {
+		for k, i := range metaIdx {
+			metaAt[i] = mc[k]
+		}
 		for _, dc := range dataCombos {
-			st := base.clone()
-			// Resolve each record's application from the combination,
-			// then land them in log order.
-			metaAt := make(map[int]metaMode)
-			for k, i := range metaIdx {
-				metaAt[i] = mc[k]
-			}
-			fullAt := make(map[int]bool)
-			tornAt := make(map[int]bool)
+			clear(fullAt)
+			clear(tornAt)
 			for ni := range dataNodes {
 				cut := dc[ni]
 				idx := dataIdx[dataNodes[ni]]
@@ -358,6 +376,7 @@ func enumerateStates(ex *execution, cp int, pol Policy) []*DiskState {
 					tornAt[idx[cut.Full]] = true
 				}
 			}
+			st := base.clone()
 			for i, r := range pending {
 				switch {
 				case isData(r.Kind):
@@ -370,8 +389,8 @@ func enumerateStates(ex *execution, cp int, pol Policy) []*DiskState {
 					st.apply(r, metaAt[i], false)
 				}
 			}
-			if k := st.Key(); !seen[k] {
-				seen[k] = true
+			if k := keys.key(st); !seen[string(k)] {
+				seen[string(k)] = true
 				out = append(out, st)
 			}
 		}
