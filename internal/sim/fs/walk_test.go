@@ -3,6 +3,7 @@ package fs
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -293,4 +294,60 @@ func TestWalkAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, got)
 		}
 	}
+}
+
+// splitAny is splitInto as it was before the byte scans: the next
+// separator found with one strings.IndexAny over both.
+func splitAny(path string) ([]string, error) {
+	if path == "" || strings.IndexByte(path, 0) >= 0 {
+		return nil, ErrInvalidPath
+	}
+	if len(path) >= 2 && path[1] == ':' {
+		path = path[2:]
+	}
+	var dst []string
+	for path != "" {
+		p := path
+		if i := strings.IndexAny(path, `/\`); i >= 0 {
+			p, path = path[:i], path[i+1:]
+		} else {
+			path = ""
+		}
+		switch p {
+		case "", ".":
+		case "..":
+			if len(dst) > 0 {
+				dst = dst[:len(dst)-1]
+			}
+		default:
+			dst = append(dst, p)
+		}
+	}
+	return dst, nil
+}
+
+// FuzzSplitPath: splitInto returns exactly what the IndexAny walk did,
+// component for component, for any bytes.
+func FuzzSplitPath(f *testing.F) {
+	for _, seed := range []string{
+		"", "/", `\`, "a", `C:\dir\file.txt`, "c:", "C:x", "::",
+		"/répertoire/ファイル", "\xff\xfe/\x80\\\xc3", "\xc3\x28/\xe2\x82",
+		"a\x00b", "/a\x00", "\x00",
+		"..", "/../../a", `\..\..\..\b\..`, "a/b/../../../c",
+		`a\b/c\\d//e\/f/\g`, `/.\./.\x`, `\\server\share/dir`,
+		"/" + strings.Repeat("x", 16<<10), `C:\` + strings.Repeat("y", 16<<10) + `\z`,
+		strings.Repeat(`a\`, 1<<10), strings.Repeat("/a", 1<<10),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, path string) {
+		want, wantErr := splitAny(path)
+		got, err := splitInto(nil, path)
+		if err != wantErr {
+			t.Fatalf("splitInto(%q) err = %v, want %v", path, err, wantErr)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("splitInto(%q) = %q, want %q", path, got, want)
+		}
+	})
 }

@@ -25,7 +25,7 @@ func dirty(t *testing.T, p *Process) {
 	p.Object().Signaled = true
 	p.FD(0).Pipe.Buf = append(p.FD(0).Pipe.Buf, "typed"...)
 	p.Cwd, p.LastError, p.Errno, p.Umask, p.ErrMode, p.Priority = "/tmp", 5, 2, 0o77, 3, 15
-	p.TLS[3], p.TLSUsed[3] = 7, true
+	p.TLS[3], p.TLSUsed = 7, 1<<3
 	p.Exited, p.ExitCode = true, 9
 	a, err := p.AS.Alloc(3*mem.PageSize, mem.ProtRW)
 	if err != nil {

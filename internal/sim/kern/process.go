@@ -72,9 +72,10 @@ type Process struct {
 	// Umask for POSIX file creation.
 	Umask uint16
 
-	// TLS slots for TlsAlloc/TlsSetValue.
+	// TLS slots for TlsAlloc/TlsSetValue; bit i of TLSUsed is set while
+	// slot i is allocated.
 	TLS      [64]uint32
-	TLSUsed  [64]bool
+	TLSUsed  uint64
 	ErrMode  uint32
 	Priority int
 

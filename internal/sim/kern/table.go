@@ -41,8 +41,14 @@ func (t table[K, V]) get(k K) (V, bool) {
 	return zero, false
 }
 
-// set stores v under k, reporting whether it replaced a row.
+// set stores v under k, reporting whether it replaced a row.  A key
+// above every row's, the usual case for handles and descriptors, is
+// appended without a search.
 func (t *table[K, V]) set(k K, v V) bool {
+	if n := len(*t); n == 0 || (*t)[n-1].key < k {
+		*t = append(*t, entry[K, V]{k, v})
+		return false
+	}
 	i, ok := t.search(k)
 	if ok {
 		(*t)[i].val = v

@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"unsafe"
@@ -210,6 +209,12 @@ type span struct {
 	prot        Prot
 }
 
+// written is one written page: its number and its backing.
+type written struct {
+	pn uint32
+	b  *[PageSize]byte
+}
+
 // block is one live Alloc'd block.
 type block struct {
 	base Addr
@@ -230,9 +235,10 @@ type AddressSpace struct {
 	// allocation of their own.
 	spans  []span
 	inline [4]span
-	// data holds the backing of each mapped page that has been written; a
-	// mapped page without one reads as zeros.  Made on the first write.
-	data map[uint32]*[PageSize]byte
+	// data holds the backing of each mapped page that has been written,
+	// sorted by page number; a mapped page without one reads as zeros.
+	// Made on the first write.
+	data []written
 	// pages, when non-nil, is the free list backings come from and go
 	// back to (see Pages).
 	pages *Pages
@@ -287,28 +293,28 @@ func New() *AddressSpace {
 // come from pages when pages is non-nil.
 //
 // Init may be called again on an address space to reuse its memory: the
-// backings its last owner wrote go back to pages cleared, and the page
-// map is cleared, not made again.  Nothing may still refer to the old
-// contents; Read, CString and WString return copies, never views.
+// backings its last owner wrote go back to pages cleared, and the index
+// of written pages is emptied, not made again.  Nothing may still refer
+// to the old contents; Read, CString and WString return copies, never
+// views.
 func Init(as *AddressSpace, pages *Pages) {
 	data := as.data
-	if len(data) > 0 {
-		for _, b := range data {
-			pages.put(b)
-		}
-		if len(data) > maxFreePages {
-			// A map grown by an unusual case is dropped rather than
-			// kept at its largest size.
-			data = nil
-		}
-		clear(data)
+	for _, w := range data {
+		pages.put(w.b)
 	}
-	*as = AddressSpace{
-		userNext: UserBase,
-		sysNext:  SystemBase + 0x01000000, // leave a window of unmapped system arena
-		data:     data,
-		pages:    pages,
+	if cap(data) > maxFreePages {
+		// An index grown by an unusual case is dropped rather than kept
+		// at its largest size.
+		data = nil
 	}
+	clear(data)
+	// Zeroing in place and storing the fields one by one spares the
+	// temporary a composite literal of the whole space is built in.
+	*as = AddressSpace{}
+	as.userNext = UserBase
+	as.sysNext = SystemBase + 0x01000000 // leave a window of unmapped system arena
+	as.data = data[:0]
+	as.pages = pages
 	as.spans = as.inline[:0]
 	as.allocs = as.allocRows[:0]
 }
@@ -497,9 +503,9 @@ func (as *AddressSpace) Unmap(addr Addr, size uint32) error {
 		as.stats.PagesUnmapped += gone
 	}
 	as.carve(first, last)
-	maps.DeleteFunc(as.data, func(pn uint32, b *[PageSize]byte) bool {
-		if first <= pn && pn <= last {
-			as.pages.put(b)
+	as.data = slices.DeleteFunc(as.data, func(w written) bool {
+		if first <= w.pn && w.pn <= last {
+			as.pages.put(w.b)
 			return true
 		}
 		return false
@@ -608,25 +614,50 @@ func (as *AddressSpace) check(addr Addr, size uint32, write bool) *Fault {
 	}
 }
 
+// find returns the index of page pn's row in the written-page index, or
+// where a row for pn would go, and whether the row is present.
+func (as *AddressSpace) find(pn uint32) (int, bool) {
+	lo, hi := 0, len(as.data)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if as.data[m].pn < pn {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(as.data) && as.data[lo].pn == pn
+}
+
+// page returns the backing of page pn, or nil if it was never written.
+func (as *AddressSpace) page(pn uint32) *[PageSize]byte {
+	if i, ok := as.find(pn); ok {
+		return as.data[i].b
+	}
+	return nil
+}
+
 // backing returns the backing of mapped page pn, making it on first use.
 func (as *AddressSpace) backing(pn uint32) *[PageSize]byte {
-	b := as.data[pn]
-	if b == nil {
-		if as.data == nil {
-			as.data = make(map[uint32]*[PageSize]byte)
-		}
-		b = as.pages.get()
-		as.data[pn] = b
+	i, ok := as.find(pn)
+	if ok {
+		return as.data[i].b
 	}
+	if as.data == nil {
+		// Room for a typical case's written pages in one allocation.
+		as.data = make([]written, 0, maxFreePages)
+	}
+	b := as.pages.get()
+	as.data = slices.Insert(as.data, i, written{pn, b})
 	return b
 }
 
 // EachBacking calls fn with the number and contents of every page that
-// holds a backing (every page written since it was mapped), in no
-// particular order.  fn must not keep or change the contents.
+// holds a backing (every page written since it was mapped), in page
+// order.  fn must not keep or change the contents.
 func (as *AddressSpace) EachBacking(fn func(pn uint32, page *[PageSize]byte)) {
-	for pn, b := range as.data {
-		fn(pn, b)
+	for _, w := range as.data {
+		fn(w.pn, w.b)
 	}
 }
 
@@ -667,7 +698,7 @@ func (as *AddressSpace) copyOut(addr Addr, dst []byte) {
 		a := addr + Addr(done)
 		off := pageOff(a)
 		var n int
-		if b := as.data[pageNum(a)]; b == nil {
+		if b := as.page(pageNum(a)); b == nil {
 			n = min(len(dst)-done, int(PageSize-off))
 			clear(dst[done : done+n])
 		} else {
@@ -812,7 +843,7 @@ func (as *AddressSpace) CString(addr Addr) (string, *Fault) {
 		if f := as.checkRead(a, 1); f != nil {
 			return "", f
 		}
-		b := as.data[pageNum(a)]
+		b := as.page(pageNum(a))
 		if b == nil {
 			// Never written: the first byte is the terminator.
 			break
@@ -832,7 +863,7 @@ func (as *AddressSpace) CString(addr Addr) (string, *Fault) {
 	sb.Grow(int(n))
 	for done := uint32(0); done < n; {
 		a := addr + Addr(done)
-		chunk := as.data[pageNum(a)][pageOff(a):][:min(n-done, PageSize-pageOff(a))]
+		chunk := as.page(pageNum(a))[pageOff(a):][:min(n-done, PageSize-pageOff(a))]
 		sb.Write(chunk)
 		done += uint32(len(chunk))
 	}

@@ -98,11 +98,11 @@ func TestWritePaddedMatchesWrite(t *testing.T) {
 						t.Errorf("stats %+v, want %+v", *got.stats, *want.stats)
 					}
 					if len(got.data) != len(want.data) {
-						t.Errorf("%d pages hold backings, want %d", len(got.data), len(want.data))
+						t.Fatalf("%d pages hold backings, want %d", len(got.data), len(want.data))
 					}
-					for pn, b := range want.data {
-						if g := got.data[pn]; g == nil || *g != *b {
-							t.Errorf("page %#x differs", pn)
+					for i, w := range want.data {
+						if g := got.data[i]; g.pn != w.pn || *g.b != *w.b {
+							t.Errorf("page %#x differs", w.pn)
 						}
 					}
 				})

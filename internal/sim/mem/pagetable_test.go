@@ -22,6 +22,7 @@ type refSpace struct {
 	quota    uint64
 	mapped   uint64
 	written  int // pages holding data
+	free     int // backings on the free list
 	stats    Stats
 	inj      *chaos.Injector
 }
@@ -32,13 +33,26 @@ type refPage struct {
 }
 
 func newRef() *refSpace {
-	return &refSpace{
-		pages:    make(map[uint32]*refPage),
-		userNext: UserBase,
-		sysNext:  SystemBase + 0x01000000,
-		allocs:   make(map[Addr]uint32),
-	}
+	r := new(refSpace)
+	r.Init()
+	return r
 }
+
+// Init empties the space as mem.Init does, returning the written pages'
+// backings to the free list; the counters and the free list live on.
+func (r *refSpace) Init() {
+	for range r.written {
+		r.put()
+	}
+	r.pages = make(map[uint32]*refPage)
+	r.userNext, r.sysNext = UserBase, SystemBase+0x01000000
+	r.allocs = make(map[Addr]uint32)
+	r.mapped, r.written = 0, 0
+}
+
+// put returns one backing to the free list, which keeps at most
+// maxFreePages.
+func (r *refSpace) put() { r.free = min(r.free+1, maxFreePages) }
 
 func (r *refSpace) Map(addr Addr, size uint32, prot Prot) error {
 	if size == 0 || addr+Addr(size-1) < addr {
@@ -92,6 +106,7 @@ func (r *refSpace) Unmap(addr Addr, size uint32) error {
 			r.stats.PagesUnmapped++
 			if pg.data != nil {
 				r.written--
+				r.put()
 			}
 		}
 		delete(r.pages, pn)
@@ -202,6 +217,7 @@ func (r *refSpace) Write(addr Addr, data []byte) *Fault {
 		if pg.data == nil {
 			pg.data = make([]byte, PageSize)
 			r.written++
+			r.free = max(r.free-1, 0)
 		}
 		pg.data[pageOff(addr+Addr(i))] = b
 	}
@@ -278,8 +294,21 @@ type pageTableRig struct {
 	t     *testing.T
 	rng   *rand.Rand
 	as    *AddressSpace
+	ps    Pages // the free list as's backings come from
 	ref   *refSpace
 	bases []Addr // blocks handed out, live or freed
+}
+
+// reuse starts the space again as a harness starts its next test
+// process, keeping the counters, quota and injector attached.
+func (g *pageTableRig) reuse() {
+	stats, quota, inj := g.as.stats, g.as.quota, g.as.inj
+	Init(g.as, &g.ps)
+	g.as.SetStats(stats)
+	g.as.SetQuota(quota)
+	g.as.SetInjector(inj)
+	g.ref.Init()
+	g.bases = g.bases[:0]
 }
 
 func (g *pageTableRig) addr() Addr {
@@ -348,7 +377,7 @@ func (g *pageTableRig) step(i int) {
 		t.Helper()
 		t.Fatalf("op %d %s: "+format, append([]any{i, desc}, args...)...)
 	}
-	switch op := g.rng.Intn(11); op {
+	switch op := g.rng.Intn(13); op {
 	case 0:
 		a, s, p := g.addr(), g.size(true), g.prot()
 		desc = fmt.Sprintf("Map(%#x, %#x, %v)", a, s, p)
@@ -425,6 +454,19 @@ func (g *pageTableRig) step(i int) {
 			fail("got %q %v, want %q %v", s1, f1, s2, f2)
 		}
 	case 9:
+		a, n, pad := g.addr(), g.size(false), byte(g.rng.Intn(3))
+		data := make([]byte, g.size(false))
+		for k := range data {
+			data[k] = byte(g.rng.Intn(4))
+		}
+		desc = fmt.Sprintf("WritePadded(%#x, %d bytes, %#x, %d)", a, len(data), n, pad)
+		if f1, f2 := as.WritePadded(a, data, n, pad), ref.Write(a, padded(data, n, pad)); !sameFault(f1, f2) {
+			fail("got %v, want %v", f1, f2)
+		}
+	case 10:
+		desc = "Init"
+		g.reuse()
+	case 11:
 		a, s, p := g.addr(), g.size(true), g.prot()
 		desc = fmt.Sprintf("Mapped(%#x, %#x, %v)", a, s, p)
 		if m1, m2 := as.Mapped(a, s, p), ref.Mapped(a, s, p); m1 != m2 {
@@ -453,16 +495,27 @@ func (g *pageTableRig) step(i int) {
 			fail("ProtAt(%#x) = %v %v, want %v %v", a, p1, ok1, p2, ok2)
 		}
 	}
-	// Exactly the pages the model has written hold backings, with the
-	// model's bytes whatever their protection; in particular an unmapped
-	// page keeps none.
-	if len(as.data) != ref.written {
-		fail("%d pages hold backings, want %d", len(as.data), ref.written)
-	}
-	for pn, b := range as.data {
+	// Exactly the pages the model has written hold backings, in page
+	// order, with the model's bytes whatever their protection; in
+	// particular an unmapped page keeps none.
+	n, prev := 0, int64(-1)
+	as.EachBacking(func(pn uint32, b *[PageSize]byte) {
 		pg, ok := ref.pages[pn]
-		if !ok || pg.data == nil || !bytes.Equal(b[:], pg.data) {
-			fail("page %#x holds a backing the model does not", pn)
+		if int64(pn) <= prev || !ok || pg.data == nil || !bytes.Equal(b[:], pg.data) {
+			fail("page %#x holds a backing the model does not, or out of order", pn)
+		}
+		n, prev = n+1, int64(pn)
+	})
+	if n != ref.written {
+		fail("%d pages hold backings, want %d", n, ref.written)
+	}
+	// The free list holds as many backings as the model, all cleared.
+	if g.ps.n != ref.free {
+		fail("free list holds %d backings, want %d", g.ps.n, ref.free)
+	}
+	for k, b := range g.ps.free[:g.ps.n] {
+		if *b != ([PageSize]byte{}) {
+			fail("free backing %d is not cleared", k)
 		}
 	}
 }
@@ -471,7 +524,10 @@ func (g *pageTableRig) step(i int) {
 // the per-page reference model through the same random operations,
 // plain, under a mapped-bytes quota, and under a mem.page scarcity rule
 // and a commit.multi pressure rule, and requires identical results,
-// faults, counters and protections after every operation.
+// faults, counters and protections after every operation.  The space
+// draws its backings from a free list and is reused by Init now and then,
+// so the written-page index, the page contents and the free list are
+// checked against the model's map through every change too.
 func TestPageTableMatchesPerPageModel(t *testing.T) {
 	ops := 1500
 	if testing.Short() {
@@ -491,7 +547,8 @@ func TestPageTableMatchesPerPageModel(t *testing.T) {
 	} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
-				g := &pageTableRig{t: t, rng: rand.New(rand.NewSource(seed)), as: New(), ref: newRef()}
+				g := &pageTableRig{t: t, rng: rand.New(rand.NewSource(seed)), as: new(AddressSpace), ref: newRef()}
+				Init(g.as, &g.ps)
 				g.as.SetStats(&Stats{})
 				g.as.SetQuota(tc.quota)
 				g.ref.quota = tc.quota

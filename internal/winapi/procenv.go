@@ -1,6 +1,7 @@
 package winapi
 
 import (
+	"math/bits"
 	"strings"
 
 	"ballista/internal/api"
@@ -76,12 +77,12 @@ func registerProcEnv(m map[string]Impl) {
 			return
 		}
 		out := expandEnv(src, c.P.Getenv)
-		need := len(out) + 1
+		need := len(out)
 		if int(c.U32(2)) < need {
 			c.Ret(int64(need))
 			return
 		}
-		if !c.UserWrite(c.PtrArg(1), append([]byte(out), 0)) {
+		if !c.UserWrite(c.PtrArg(1), out) {
 			return
 		}
 		c.Ret(int64(need))
@@ -261,28 +262,27 @@ func registerProcEnv(m map[string]Impl) {
 		c.FailWinRet(0, api.ErrorProcNotFound)
 	}
 	m["TlsAlloc"] = func(c *api.Call) {
-		for i := range c.P.TLSUsed {
-			if !c.P.TLSUsed[i] {
-				c.P.TLSUsed[i] = true
-				c.P.TLS[i] = 0
-				c.Ret(int64(i))
-				return
-			}
+		if ^c.P.TLSUsed == 0 {
+			c.FailWinRet(int64(int32(-1)), api.ErrorNotEnoughMemory)
+			return
 		}
-		c.FailWinRet(int64(int32(-1)), api.ErrorNotEnoughMemory)
+		i := bits.TrailingZeros64(^c.P.TLSUsed)
+		c.P.TLSUsed |= 1 << i
+		c.P.TLS[i] = 0
+		c.Ret(int64(i))
 	}
 	m["TlsFree"] = func(c *api.Call) {
 		i := c.U32(0)
-		if i >= uint32(len(c.P.TLSUsed)) || !c.P.TLSUsed[i] {
+		if !tlsUsed(c.P, i) {
 			c.FailMaybeSilent(0, api.ErrorInvalidParameter, winTrue)
 			return
 		}
-		c.P.TLSUsed[i] = false
+		c.P.TLSUsed &^= 1 << i
 		c.Ret(winTrue)
 	}
 	m["TlsGetValue"] = func(c *api.Call) {
 		i := c.U32(0)
-		if i >= uint32(len(c.P.TLSUsed)) || !c.P.TLSUsed[i] {
+		if !tlsUsed(c.P, i) {
 			c.FailWinRet(0, api.ErrorInvalidParameter)
 			return
 		}
@@ -291,7 +291,7 @@ func registerProcEnv(m map[string]Impl) {
 	}
 	m["TlsSetValue"] = func(c *api.Call) {
 		i := c.U32(0)
-		if i >= uint32(len(c.P.TLSUsed)) || !c.P.TLSUsed[i] {
+		if !tlsUsed(c.P, i) {
 			c.FailMaybeSilent(0, api.ErrorInvalidParameter, winTrue)
 			return
 		}
@@ -405,25 +405,35 @@ func sysDir(path string) Impl {
 	}
 }
 
-func expandEnv(src string, getenv func(string) (string, bool)) string {
-	var b strings.Builder
-	for i := 0; i < len(src); i++ {
-		if src[i] != '%' {
-			b.WriteByte(src[i])
-			continue
+// expandEnv returns src with every %NAME% that names a set variable
+// replaced by its value, followed by the NUL terminator, built in one
+// buffer sized from src.  A %NAME% naming no variable, and a '%' with no
+// closing one, stay as written.
+func expandEnv(src string, getenv func(string) (string, bool)) []byte {
+	out := make([]byte, 0, len(src)+1)
+	for {
+		i := strings.IndexByte(src, '%')
+		if i < 0 {
+			break
 		}
 		j := strings.IndexByte(src[i+1:], '%')
 		if j < 0 {
-			b.WriteString(src[i:])
 			break
 		}
-		name := src[i+1 : i+1+j]
+		out = append(out, src[:i]...)
+		name, end := src[i+1:i+1+j], i+j+2
 		if v, ok := getenv(name); ok {
-			b.WriteString(v)
+			out = append(out, v...)
 		} else {
-			b.WriteString("%" + name + "%")
+			out = append(out, src[i:end]...)
 		}
-		i += j + 1
+		src = src[end:]
 	}
-	return b.String()
+	out = append(out, src...)
+	return append(out, 0)
+}
+
+// tlsUsed reports whether TLS slot i is allocated in p.
+func tlsUsed(p *kern.Process, i uint32) bool {
+	return i < uint32(len(p.TLS)) && p.TLSUsed&(1<<i) != 0
 }
