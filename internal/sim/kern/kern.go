@@ -31,6 +31,7 @@ import (
 	"ballista/internal/sim/fs"
 	"ballista/internal/sim/mem"
 	"ballista/internal/sim/net"
+	"ballista/internal/sim/sorted"
 )
 
 // Arch captures the architectural traits of a simulated OS family.
@@ -333,9 +334,9 @@ func (k *Kernel) startProcess(b *processBlock, pages *mem.Pages) *Process {
 	p.Thread = &b.thread
 	p.object = &b.pobj
 	p.Cwd = "/"
-	p.envRows[0] = entry[string, string]{"HOME", "/home/ballista"}
-	p.envRows[1] = entry[string, string]{"PATH", "/bin"}
-	p.envRows[2] = entry[string, string]{"TEMP", "/tmp"}
+	p.envRows[0] = sorted.Entry[string, string]{Key: "HOME", Val: "/home/ballista"}
+	p.envRows[1] = sorted.Entry[string, string]{Key: "PATH", Val: "/bin"}
+	p.envRows[2] = sorted.Entry[string, string]{Key: "TEMP", Val: "/tmp"}
 	p.env = p.envRows[:3]
 	mem.Init(p.AS, pages)
 	p.AS.SetStats(&k.memStats)
@@ -348,36 +349,22 @@ func (k *Kernel) startProcess(b *processBlock, pages *mem.Pages) *Process {
 	// Standard console plumbing: handle-table entries for the Win32
 	// surface, descriptors 0/1/2 for the POSIX surface.  The input
 	// console is a pipe with a writer that never writes, so a blocking
-	// read can never complete.  The tables are empty, so the rows are
-	// written in key order straight into their inline arrays, with the
-	// counters AddHandle and AddFDAt would keep.  Each handle still
-	// consults the kern.handle rule as AddHandle does: a refused one
-	// leaves its slot null and takes no row or number.
-	h, n := Handle(4), 0
+	// read can never complete.  The tables are empty, so each row is
+	// appended to its inline array without a search.
+	p.handles = p.handleRows[:0]
+	p.nextH = 4
+	p.fds = p.fdRows[:0]
 	for i := range b.pipes {
 		b.pipes[i] = Pipe{ReadersOpen: 1, WritersOpen: 1, Capacity: 4096, Input: i == 0}
 		o := &b.console[i]
 		*o = Object{}
 		o.Kind, o.Pipe = KPipe, &b.pipes[i]
-		if _, ok := k.chaos.Fault(chaos.OpKernHandle, "handle"); ok {
-			continue
-		}
-		o.refs = 1
-		p.handleRows[n] = entry[Handle, *Object]{h, o}
-		p.std[i] = h
-		h += 4
-		n++
+		p.SetStd(i, p.AddHandle(o))
 	}
-	p.handles = p.handleRows[:n]
-	p.nextH = h
-	k.stats.HandlesOpened += uint64(n)
-	k.stats.HandlesByKind[KPipe] += uint64(n)
 	for i := range b.fds {
 		b.fds[i] = FD{Pipe: &b.pipes[i], Read: i == 0, Write: i != 0}
-		p.fdRows[i] = entry[int, *FD]{i, &b.fds[i]}
+		p.AddFDAt(i, &b.fds[i])
 	}
-	p.fds = p.fdRows[:len(b.fds)]
-	k.stats.FDsOpened += uint64(len(b.fds))
 	return p
 }
 

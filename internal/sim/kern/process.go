@@ -7,6 +7,7 @@ import (
 	"ballista/internal/sim/fs"
 	"ballista/internal/sim/mem"
 	"ballista/internal/sim/net"
+	"ballista/internal/sim/sorted"
 )
 
 // Handle is a Win32-style kernel handle value.
@@ -55,14 +56,14 @@ type Process struct {
 	// The handle, descriptor and environment tables are kept sorted by
 	// key.  Each starts in the inline rows below, which hold a fresh
 	// process's entries, so NewProcess allocates none of them.
-	handles table[Handle, *Object]
+	handles sorted.Table[Handle, *Object]
 	nextH   Handle
-	fds     table[int, *FD]
-	env     table[string, string]
+	fds     sorted.Table[int, *FD]
+	env     sorted.Table[string, string]
 
-	handleRows [4]entry[Handle, *Object]
-	fdRows     [4]entry[int, *FD]
-	envRows    [4]entry[string, string]
+	handleRows [4]sorted.Entry[Handle, *Object]
+	fdRows     [4]sorted.Entry[int, *FD]
+	envRows    [4]sorted.Entry[string, string]
 
 	Cwd string
 
@@ -99,7 +100,7 @@ func (p *Process) AddHandle(o *Object) Handle {
 	h := p.nextH
 	p.nextH += 4
 	o.refs++
-	p.handles.set(h, o)
+	p.handles.Set(h, o)
 	p.K.stats.HandlesOpened++
 	if o.Kind >= 0 && o.Kind < KindCount {
 		p.K.stats.HandlesByKind[o.Kind]++
@@ -116,7 +117,7 @@ func (p *Process) Handle(h Handle) *Object {
 	case PseudoThread:
 		return p.Thread.object
 	}
-	o, ok := p.handles.get(h)
+	o, ok := p.handles.Get(h)
 	if !ok || o.closed {
 		return nil
 	}
@@ -126,11 +127,11 @@ func (p *Process) Handle(h Handle) *Object {
 // CloseHandle removes a handle-table entry, destroying the object when
 // the last reference drops.  It reports whether the handle was live.
 func (p *Process) CloseHandle(h Handle) bool {
-	o, ok := p.handles.get(h)
+	o, ok := p.handles.Get(h)
 	if !ok || o.closed {
 		return false
 	}
-	p.handles.remove(h)
+	p.handles.Remove(h)
 	p.K.stats.HandlesClosed++
 	o.refs--
 	if o.refs <= 0 {
@@ -176,11 +177,11 @@ func (p *Process) AddFD(f *FD) int {
 	// The lowest free slot is the first gap in the sorted non-negative
 	// keys.
 	fd := 0
-	i, _ := p.fds.search(0)
-	for ; i < len(p.fds) && p.fds[i].key == fd; i++ {
+	i, _ := p.fds.Search(0)
+	for ; i < len(p.fds) && p.fds[i].Key == fd; i++ {
 		fd++
 	}
-	p.fds = slices.Insert(p.fds, i, entry[int, *FD]{fd, f})
+	p.fds = slices.Insert(p.fds, i, sorted.Entry[int, *FD]{Key: fd, Val: f})
 	p.K.stats.FDsOpened++
 	return fd
 }
@@ -188,7 +189,7 @@ func (p *Process) AddFD(f *FD) int {
 // AddFDAt inserts a descriptor at an exact slot, closing any previous
 // occupant (dup2 semantics).
 func (p *Process) AddFDAt(fd int, f *FD) {
-	if p.fds.set(fd, f) {
+	if p.fds.Set(fd, f) {
 		p.K.stats.FDsClosed++
 	}
 	p.K.stats.FDsOpened++
@@ -196,13 +197,13 @@ func (p *Process) AddFDAt(fd int, f *FD) {
 
 // FD resolves a descriptor; nil if closed/unknown.
 func (p *Process) FD(fd int) *FD {
-	f, _ := p.fds.get(fd)
+	f, _ := p.fds.Get(fd)
 	return f
 }
 
 // CloseFD removes a descriptor, reporting whether it was live.
 func (p *Process) CloseFD(fd int) bool {
-	f, ok := p.fds.remove(fd)
+	f, ok := p.fds.Remove(fd)
 	if !ok {
 		return false
 	}
@@ -227,20 +228,20 @@ func (p *Process) FDCount() int { return len(p.fds) }
 
 // Getenv returns the value of an environment variable and whether it is
 // set.
-func (p *Process) Getenv(name string) (string, bool) { return p.env.get(name) }
+func (p *Process) Getenv(name string) (string, bool) { return p.env.Get(name) }
 
 // Setenv sets an environment variable.
-func (p *Process) Setenv(name, val string) { p.env.set(name, val) }
+func (p *Process) Setenv(name, val string) { p.env.Set(name, val) }
 
 // Unsetenv removes an environment variable.
-func (p *Process) Unsetenv(name string) { p.env.remove(name) }
+func (p *Process) Unsetenv(name string) { p.env.Remove(name) }
 
 // Environ returns the environment as "name=value" strings sorted by name,
 // the order Windows keeps an environment block in.
 func (p *Process) Environ() []string {
 	out := make([]string, len(p.env))
 	for i, e := range p.env {
-		out[i] = e.key + "=" + e.val
+		out[i] = e.Key + "=" + e.Val
 	}
 	return out
 }

@@ -3,29 +3,29 @@ package kern
 import (
 	"cmp"
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 	"unsafe"
 
 	"ballista/internal/chaos"
 	"ballista/internal/sim/mem"
+	"ballista/internal/sim/sorted"
 )
 
-// refSet is table.set as it was before the append fast path: every key
+// refSet is Table.Set as it was before the append fast path: every key
 // is searched for and inserted where it belongs.
-func refSet[K cmp.Ordered, V any](t *table[K, V], k K, v V) bool {
-	i, ok := t.search(k)
+func refSet[K cmp.Ordered, V any](t *sorted.Table[K, V], k K, v V) bool {
+	i, ok := t.Search(k)
 	if ok {
-		(*t)[i].val = v
+		(*t)[i].Val = v
 		return true
 	}
-	*t = slices.Insert(*t, i, entry[K, V]{k, v})
+	*t = slices.Insert(*t, i, sorted.Entry[K, V]{Key: k, Val: v})
 	return false
 }
 
 // refAddHandle and refAddFDAt are AddHandle and AddFDAt with refSet, the
-// path every console row took before startProcess wrote the rows itself.
+// path every console row took before Set appended.
 func refAddHandle(p *Process, o *Object) Handle {
 	if _, ok := p.K.chaos.Fault(chaos.OpKernHandle, "handle"); ok {
 		return 0
@@ -48,9 +48,9 @@ func refAddFDAt(p *Process, fd int, f *FD) {
 	p.K.stats.FDsOpened++
 }
 
-// refStart is startProcess before it wrote the console rows itself: the
-// process assigned from one composite literal, and each console handle
-// and descriptor added one by one through the general paths.
+// refStart is startProcess before it zeroed the process in place and Set
+// appended: the process assigned from one composite literal, and each
+// console handle and descriptor searched for and inserted.
 func refStart(k *Kernel, b *processBlock, pages *mem.Pages) *Process {
 	k.stats.Processes++
 	p := &b.p
@@ -62,7 +62,7 @@ func refStart(k *Kernel, b *processBlock, pages *mem.Pages) *Process {
 		object:  &b.pobj,
 		Cwd:     "/",
 		nextH:   4,
-		envRows: [4]entry[string, string]{{"HOME", "/home/ballista"}, {"PATH", "/bin"}, {"TEMP", "/tmp"}},
+		envRows: [4]sorted.Entry[string, string]{{Key: "HOME", Val: "/home/ballista"}, {Key: "PATH", Val: "/bin"}, {Key: "TEMP", Val: "/tmp"}},
 	}
 	p.handles = p.handleRows[:0]
 	p.fds = p.fdRows[:0]
@@ -121,8 +121,8 @@ func sameStart(t *testing.T, got, want *Process) {
 	}
 	for i, w := range want.handles {
 		g := got.handles[i]
-		if g.key != w.key || objectID(gb, g.val) != objectID(wb, w.val) {
-			t.Errorf("handle row %d is %#x -> %s, want %#x -> %s", i, g.key, objectID(gb, g.val), w.key, objectID(wb, w.val))
+		if g.Key != w.Key || objectID(gb, g.Val) != objectID(wb, w.Val) {
+			t.Errorf("handle row %d is %#x -> %s, want %#x -> %s", i, g.Key, objectID(gb, g.Val), w.Key, objectID(wb, w.Val))
 		}
 	}
 	for i := range wb.console {
@@ -134,8 +134,8 @@ func sameStart(t *testing.T, got, want *Process) {
 		t.Fatalf("%d descriptor rows, want %d", len(got.fds), len(want.fds))
 	}
 	for i, w := range want.fds {
-		if g := got.fds[i]; g.key != w.key || fdID(gb, g.val) != fdID(wb, w.val) {
-			t.Errorf("descriptor row %d is %d -> %s, want %d -> %s", i, g.key, fdID(gb, g.val), w.key, fdID(wb, w.val))
+		if g := got.fds[i]; g.Key != w.Key || fdID(gb, g.Val) != fdID(wb, w.Val) {
+			t.Errorf("descriptor row %d is %d -> %s, want %d -> %s", i, g.Key, fdID(gb, g.Val), w.Key, fdID(wb, w.Val))
 		}
 	}
 	if got.std != want.std || got.nextH != want.nextH {
@@ -148,8 +148,8 @@ func sameStart(t *testing.T, got, want *Process) {
 }
 
 // TestStartProcessMatchesAddPaths: NewProcess and Arena.Process start
-// exactly the process that adding each console handle and descriptor
-// through the general AddHandle and AddFDAt paths made, with the same
+// exactly the process that the old start made, inserting each console
+// handle and descriptor after a search, with the same
 // counters and the same kern.handle decisions, with no injector and
 // under kern.handle rules that always fire or fire after one or two
 // decisions.  The arena's process is dirtied between starts, so each
@@ -200,66 +200,6 @@ func TestStartProcessMatchesAddPaths(t *testing.T) {
 				}
 				want = refStart(ref, new(processBlock), nil)
 				check(fmt.Sprintf("spawn %d", i), got, want)
-			}
-		})
-	}
-}
-
-// TestTableAppendMatchesInsert: set, which appends a key above every
-// row's, builds the same table as the search-and-insert set for every
-// insertion order of up to six keys, with replacements and removals
-// mixed in.
-func TestTableAppendMatchesInsert(t *testing.T) {
-	var orders func(n int, prefix []int, fn func([]int))
-	orders = func(n int, prefix []int, fn func([]int)) {
-		if len(prefix) == n {
-			fn(prefix)
-			return
-		}
-		for k := 0; k < n; k++ {
-			if !slices.Contains(prefix, k) {
-				orders(n, append(prefix, k), fn)
-			}
-		}
-	}
-	seq := 0
-	for n := 1; n <= 6; n++ {
-		orders(n, nil, func(order []int) {
-			seq++
-			rng := rand.New(rand.NewSource(int64(seq)))
-			var got, want table[Handle, int]
-			compare := func(op string) {
-				t.Helper()
-				if !slices.Equal(got, want) {
-					t.Fatalf("order %v, %s: table %v, want %v", order, op, got, want)
-				}
-			}
-			for i, k := range order {
-				h := Handle(4 + 4*k)
-				if g, w := got.set(h, i), refSet(&want, h, i); g != w {
-					t.Fatalf("order %v: set(%#x) replaced %v, want %v", order, h, g, w)
-				}
-				compare(fmt.Sprintf("set(%#x)", h))
-				// Replace, remove, or remove and add again a key seen so far.
-				old := Handle(4 + 4*order[rng.Intn(i+1)])
-				switch rng.Intn(4) {
-				case 0:
-					if g, w := got.set(old, -i), refSet(&want, old, -i); g != w {
-						t.Fatalf("order %v: replacing %#x reported %v, want %v", order, old, g, w)
-					}
-				case 1:
-					g, gok := got.remove(old)
-					w, wok := want.remove(old)
-					if g != w || gok != wok {
-						t.Fatalf("order %v: remove(%#x) = %v %v, want %v %v", order, old, g, gok, w, wok)
-					}
-				case 2:
-					got.remove(old)
-					want.remove(old)
-					got.set(old, 100+i)
-					refSet(&want, old, 100+i)
-				}
-				compare(fmt.Sprintf("after set(%#x), key %#x", h, old))
 			}
 		})
 	}

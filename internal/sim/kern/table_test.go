@@ -321,7 +321,7 @@ func (g *tableRig) step(i int) {
 		fail("stats %+v, want %+v", g.k.stats, ref.stats)
 	}
 	for h, o := range ref.handles {
-		if got, ok := p.handles.get(h); !ok || g.objID(got, false) != g.objID(o, true) {
+		if got, ok := p.handles.Get(h); !ok || g.objID(got, false) != g.objID(o, true) {
 			fail("handle %#x holds object %d, want %d", h, g.objID(got, false), g.objID(o, true))
 		}
 	}

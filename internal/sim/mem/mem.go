@@ -24,6 +24,7 @@ import (
 	"unsafe"
 
 	"ballista/internal/chaos"
+	"ballista/internal/sim/sorted"
 )
 
 // Addr is a simulated 32-bit virtual address.
@@ -209,11 +210,9 @@ type span struct {
 	prot        Prot
 }
 
-// written is one written page: its number and its backing.
-type written struct {
-	pn uint32
-	b  *[PageSize]byte
-}
+// written is one row of the written-page index: a page number and its
+// backing.
+type written = sorted.Entry[uint32, *[PageSize]byte]
 
 // block is one live Alloc'd block.
 type block struct {
@@ -238,7 +237,7 @@ type AddressSpace struct {
 	// data holds the backing of each mapped page that has been written,
 	// sorted by page number; a mapped page without one reads as zeros.
 	// Made on the first write.
-	data []written
+	data sorted.Table[uint32, *[PageSize]byte]
 	// pages, when non-nil, is the free list backings come from and go
 	// back to (see Pages).
 	pages *Pages
@@ -300,7 +299,7 @@ func New() *AddressSpace {
 func Init(as *AddressSpace, pages *Pages) {
 	data := as.data
 	for _, w := range data {
-		pages.put(w.b)
+		pages.put(w.Val)
 	}
 	if cap(data) > maxFreePages {
 		// An index grown by an unusual case is dropped rather than kept
@@ -504,8 +503,8 @@ func (as *AddressSpace) Unmap(addr Addr, size uint32) error {
 	}
 	as.carve(first, last)
 	as.data = slices.DeleteFunc(as.data, func(w written) bool {
-		if first <= w.pn && w.pn <= last {
-			as.pages.put(w.b)
+		if first <= w.Key && w.Key <= last {
+			as.pages.put(w.Val)
 			return true
 		}
 		return false
@@ -614,41 +613,23 @@ func (as *AddressSpace) check(addr Addr, size uint32, write bool) *Fault {
 	}
 }
 
-// find returns the index of page pn's row in the written-page index, or
-// where a row for pn would go, and whether the row is present.
-func (as *AddressSpace) find(pn uint32) (int, bool) {
-	lo, hi := 0, len(as.data)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if as.data[m].pn < pn {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo, lo < len(as.data) && as.data[lo].pn == pn
-}
-
 // page returns the backing of page pn, or nil if it was never written.
 func (as *AddressSpace) page(pn uint32) *[PageSize]byte {
-	if i, ok := as.find(pn); ok {
-		return as.data[i].b
-	}
-	return nil
+	b, _ := as.data.Get(pn)
+	return b
 }
 
 // backing returns the backing of mapped page pn, making it on first use.
 func (as *AddressSpace) backing(pn uint32) *[PageSize]byte {
-	i, ok := as.find(pn)
-	if ok {
-		return as.data[i].b
+	if b, ok := as.data.Get(pn); ok {
+		return b
 	}
 	if as.data == nil {
 		// Room for a typical case's written pages in one allocation.
 		as.data = make([]written, 0, maxFreePages)
 	}
 	b := as.pages.get()
-	as.data = slices.Insert(as.data, i, written{pn, b})
+	as.data.Set(pn, b)
 	return b
 }
 
@@ -657,7 +638,7 @@ func (as *AddressSpace) backing(pn uint32) *[PageSize]byte {
 // order.  fn must not keep or change the contents.
 func (as *AddressSpace) EachBacking(fn func(pn uint32, page *[PageSize]byte)) {
 	for _, w := range as.data {
-		fn(w.pn, w.b)
+		fn(w.Key, w.Val)
 	}
 }
 

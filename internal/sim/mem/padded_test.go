@@ -101,8 +101,8 @@ func TestWritePaddedMatchesWrite(t *testing.T) {
 						t.Fatalf("%d pages hold backings, want %d", len(got.data), len(want.data))
 					}
 					for i, w := range want.data {
-						if g := got.data[i]; g.pn != w.pn || *g.b != *w.b {
-							t.Errorf("page %#x differs", w.pn)
+						if g := got.data[i]; g.Key != w.Key || *g.Val != *w.Val {
+							t.Errorf("page %#x differs", w.Key)
 						}
 					}
 				})

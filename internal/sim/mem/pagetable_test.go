@@ -294,9 +294,14 @@ type pageTableRig struct {
 	t     *testing.T
 	rng   *rand.Rand
 	as    *AddressSpace
-	ps    Pages // the free list as's backings come from
 	ref   *refSpace
 	bases []Addr // blocks handed out, live or freed
+	full  int    // Allocs refused for want of space
+
+	// pooled runs draw the space's backings from ps and add WritePadded
+	// and Init to the operations.
+	pooled bool
+	ps     Pages
 }
 
 // reuse starts the space again as a harness starts its next test
@@ -309,6 +314,20 @@ func (g *pageTableRig) reuse() {
 	g.as.SetInjector(inj)
 	g.ref.Init()
 	g.bases = g.bases[:0]
+}
+
+// draw picks the next operation: 0 to 10 in every run; in a pooled run
+// also 11, WritePadded, and, about once in 750 operations, 12, Init, so
+// a space under quota still fills up between two starts.
+func (g *pageTableRig) draw() int {
+	switch {
+	case !g.pooled:
+		return g.rng.Intn(11)
+	case g.rng.Intn(750) == 0:
+		return 12
+	default:
+		return g.rng.Intn(12)
+	}
 }
 
 func (g *pageTableRig) addr() Addr {
@@ -377,7 +396,7 @@ func (g *pageTableRig) step(i int) {
 		t.Helper()
 		t.Fatalf("op %d %s: "+format, append([]any{i, desc}, args...)...)
 	}
-	switch op := g.rng.Intn(13); op {
+	switch op := g.draw(); op {
 	case 0:
 		a, s, p := g.addr(), g.size(true), g.prot()
 		desc = fmt.Sprintf("Map(%#x, %#x, %v)", a, s, p)
@@ -414,6 +433,9 @@ func (g *pageTableRig) step(i int) {
 		}
 		if e1 == nil {
 			g.bases = append(g.bases, b1)
+		}
+		if e1 == ErrNoSpace {
+			g.full++
 		}
 	case 5:
 		a := g.addr()
@@ -454,6 +476,12 @@ func (g *pageTableRig) step(i int) {
 			fail("got %q %v, want %q %v", s1, f1, s2, f2)
 		}
 	case 9:
+		a, s, p := g.addr(), g.size(true), g.prot()
+		desc = fmt.Sprintf("Mapped(%#x, %#x, %v)", a, s, p)
+		if m1, m2 := as.Mapped(a, s, p), ref.Mapped(a, s, p); m1 != m2 {
+			fail("got %v, want %v", m1, m2)
+		}
+	case 11:
 		a, n, pad := g.addr(), g.size(false), byte(g.rng.Intn(3))
 		data := make([]byte, g.size(false))
 		for k := range data {
@@ -463,15 +491,9 @@ func (g *pageTableRig) step(i int) {
 		if f1, f2 := as.WritePadded(a, data, n, pad), ref.Write(a, padded(data, n, pad)); !sameFault(f1, f2) {
 			fail("got %v, want %v", f1, f2)
 		}
-	case 10:
+	case 12:
 		desc = "Init"
 		g.reuse()
-	case 11:
-		a, s, p := g.addr(), g.size(true), g.prot()
-		desc = fmt.Sprintf("Mapped(%#x, %#x, %v)", a, s, p)
-		if m1, m2 := as.Mapped(a, s, p), ref.Mapped(a, s, p); m1 != m2 {
-			fail("got %v, want %v", m1, m2)
-		}
 	default:
 		a := g.addr()
 		desc = fmt.Sprintf("ProtAt(%#x)", a)
@@ -509,6 +531,9 @@ func (g *pageTableRig) step(i int) {
 	if n != ref.written {
 		fail("%d pages hold backings, want %d", n, ref.written)
 	}
+	if !g.pooled {
+		return
+	}
 	// The free list holds as many backings as the model, all cleared.
 	if g.ps.n != ref.free {
 		fail("free list holds %d backings, want %d", g.ps.n, ref.free)
@@ -524,42 +549,54 @@ func (g *pageTableRig) step(i int) {
 // the per-page reference model through the same random operations,
 // plain, under a mapped-bytes quota, and under a mem.page scarcity rule
 // and a commit.multi pressure rule, and requires identical results,
-// faults, counters and protections after every operation.  The space
-// draws its backings from a free list and is reused by Init now and then,
-// so the written-page index, the page contents and the free list are
-// checked against the model's map through every change too.
+// faults, counters and protections after every operation.  Each run is
+// made twice: on a space from New, with no free list, as a spawned
+// process has; and pooled, on a space that draws its backings from a
+// free list and is started again by Init now and then, as a harness's
+// test process is, with the free list checked against the model too.
 func TestPageTableMatchesPerPageModel(t *testing.T) {
 	ops := 1500
 	if testing.Short() {
-		ops = 300
+		ops = 300 // too few to reach the quota
 	}
-	for _, tc := range []struct {
-		name  string
-		quota uint64
-		plan  *chaos.Plan
-	}{
-		{name: "plain"},
-		{name: "quota", quota: 300 * PageSize},
-		{name: "chaos", plan: &chaos.Plan{Seed: 3, Rules: []chaos.Rule{
-			{Op: chaos.OpMemPage, RatePerMille: 1000, After: 400},
-			{Op: chaos.OpMemCommit, Site: "commit.multi", RatePerMille: 250},
-		}}},
-	} {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
-				g := &pageTableRig{t: t, rng: rand.New(rand.NewSource(seed)), as: new(AddressSpace), ref: newRef()}
-				Init(g.as, &g.ps)
-				g.as.SetStats(&Stats{})
-				g.as.SetQuota(tc.quota)
-				g.ref.quota = tc.quota
-				if tc.plan != nil {
-					g.as.SetInjector(tc.plan.NewInjector(nil))
-					g.ref.inj = tc.plan.NewInjector(nil)
-				}
-				for i := 0; i < ops; i++ {
-					g.step(i)
-				}
-			})
+	for _, pooled := range []bool{false, true} {
+		for _, tc := range []struct {
+			name  string
+			quota uint64
+			plan  *chaos.Plan
+		}{
+			{name: "plain"},
+			{name: "quota", quota: 300 * PageSize},
+			{name: "chaos", plan: &chaos.Plan{Seed: 3, Rules: []chaos.Rule{
+				{Op: chaos.OpMemPage, RatePerMille: 1000, After: 400},
+				{Op: chaos.OpMemCommit, Site: "commit.multi", RatePerMille: 250},
+			}}},
+		} {
+			name := tc.name
+			if pooled {
+				name = "pooled/" + name
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+					g := &pageTableRig{t: t, rng: rand.New(rand.NewSource(seed)), as: New(), ref: newRef(), pooled: pooled}
+					if pooled {
+						Init(g.as, &g.ps)
+					}
+					g.as.SetStats(&Stats{})
+					g.as.SetQuota(tc.quota)
+					g.ref.quota = tc.quota
+					if tc.plan != nil {
+						g.as.SetInjector(tc.plan.NewInjector(nil))
+						g.ref.inj = tc.plan.NewInjector(nil)
+					}
+					for i := 0; i < ops; i++ {
+						g.step(i)
+					}
+					if tc.quota != 0 && ops == 1500 && g.full == 0 {
+						t.Errorf("no Alloc reached the %d-page quota", tc.quota/PageSize)
+					}
+				})
+			}
 		}
 	}
 }
