@@ -219,9 +219,9 @@ func RunAll(opts ...Option) (map[OS]*Result, error) {
 type FarmConfig struct {
 	// Workers is the pool size; <= 0 selects one worker per CPU.
 	Workers int
-	// Checkpoint, when non-empty, journals every completed MuT shard to
-	// this JSONL file so an interrupted campaign resumes without
-	// re-running finished shards.
+	// Checkpoint, when non-empty, journals completed MuT shards to this
+	// JSONL file, 64 to a commit, so an interrupted campaign resumes
+	// without re-running committed shards.
 	Checkpoint string
 }
 

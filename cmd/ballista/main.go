@@ -25,9 +25,10 @@
 // A full campaign with -workers > 1 shards the MuT catalog across a
 // farm of simulated machines (one kernel per worker) and merges the
 // results deterministically — identical output to a sequential run.
-// With -checkpoint, every completed MuT shard is journaled; killing the
-// campaign (Ctrl-C) and re-running with the same -checkpoint resumes
-// without re-testing finished shards.
+// With -checkpoint, completed MuT shards are journaled, 64 to a commit;
+// killing the campaign (Ctrl-C commits what finished) and re-running
+// with the same -checkpoint resumes without re-testing committed shards.
+// A kill -9 loses at most the 64 shards not yet committed.
 //
 // -explore runs the coverage-guided sequence fuzzer: call chains of
 // length 2-8 mutated under kernel-state-coverage feedback, every
@@ -132,7 +133,7 @@ func main() {
 	traceFlag := flag.String("trace", "", "write a per-case JSONL trace to this file")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics on this address while the campaign runs")
 	workers := flag.Int("workers", 1, "farm worker count for full campaigns (0 = one per CPU)")
-	checkpoint := flag.String("checkpoint", "", "journal completed MuT shards to this JSONL file and resume from it")
+	checkpoint := flag.String("checkpoint", "", "journal completed work to this JSONL file and resume from it: farm shards and sweep items 64 to a commit, fleet uploads and explore candidates one at a time")
 	exploreFlag := flag.Bool("explore", false, "run the coverage-guided sequence fuzzer with the cross-OS differential oracle")
 	chains := flag.Int("chains", 2000, "explore: candidate chain budget")
 	seed := flag.Uint64("seed", 1, "explore/crashcheck: campaign seed (same seed = same report)")

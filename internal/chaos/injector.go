@@ -147,6 +147,15 @@ func (p *Plan) NewInjector(stats *Stats) *Injector {
 	}
 }
 
+// Stats returns the counters the session was started with (nil for a
+// nil session or one started without them).
+func (in *Injector) Stats() *Stats {
+	if in == nil {
+		return nil
+	}
+	return in.stats
+}
+
 // AllowWedge arms or disarms kern.wedge rules for this session.  The
 // runner arms them only when a case deadline is configured — without a
 // watchdog a wedge would block its worker forever.

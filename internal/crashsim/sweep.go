@@ -125,10 +125,10 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 		Kind: "crashsweep", Unit: "workload",
 		ID: sweepID(cfg, names, oses, len(workloads)),
 		N:  len(workloads), Workers: cfg.Workers, Checkpoint: cfg.Checkpoint,
-		Eval: func(i int) *wlResult {
+		Eval: func(_, i int) (*wlResult, error) {
 			ws := cfg.Spans.StartSampled("crashwl", workloads[i].Key()).SetParent(parent.ID())
 			defer ws.End()
-			return evalOne(workloads[i], names, oses, &verdicts)
+			return evalOne(workloads[i], names, oses, &verdicts), nil
 		},
 	})
 	if err != nil {

@@ -92,20 +92,25 @@ func TestFarmWorkerPanicQuarantine(t *testing.T) {
 }
 
 // TestFarmKillAtFaultResume is the crash-consistency half of the oracle:
-// a non-transient checkpoint-write fault (every append fails after the
-// first five) exhausts the retry budget and kills the campaign mid-run;
-// resuming the journal without chaos must produce a report identical to
-// an uninterrupted run.
+// a non-transient checkpoint-write fault (every commit fails after the
+// first two, so the third batch of 64 shards never reaches the journal)
+// exhausts the retry budget and kills the campaign mid-run; resuming the
+// journal without chaos must produce a report identical to an
+// uninterrupted run.
 func TestFarmKillAtFaultResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "nt.ckpt")
 	fatal := &chaos.Plan{Seed: 5, Rules: []chaos.Rule{
-		{Op: chaos.OpCkptWrite, Kind: chaos.KindFail, RatePerMille: 1000, After: 5},
+		{Op: chaos.OpCkptWrite, Kind: chaos.KindFail, RatePerMille: 1000, After: 2},
 	}}
 	_, err := ballista.RunFarm(context.Background(), ballista.WinNT,
 		ballista.FarmConfig{Workers: 2, Checkpoint: ckpt},
 		ballista.WithCap(testCap), ballista.WithChaos(fatal))
 	if !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("persistent checkpoint fault returned %v, want chaos.ErrInjected", err)
+	}
+	total := len(farm.ShardDescs(ballista.WinNT))
+	if n := journaled(t, ckpt, ballista.WinNT, testCap); n == 0 || n >= total {
+		t.Fatalf("the fault left %d of %d shards journaled, want some but not all", n, total)
 	}
 
 	res, err := ballista.RunFarm(context.Background(), ballista.WinNT,
@@ -186,12 +191,8 @@ func TestFarmPersistentPanicMarksIncomplete(t *testing.T) {
 		}
 	}
 
-	done, err := farm.LoadJournal(ckpt, ballista.WinNT.WireName(), smallCap, farm.ShardDescs(ballista.WinNT))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(done) != 0 {
-		t.Errorf("journal holds %d records of shards that never completed", len(done))
+	if n := journaled(t, ckpt, ballista.WinNT, smallCap); n != 0 {
+		t.Errorf("journal holds %d records of shards that never completed", n)
 	}
 
 	resumed, err := ballista.RunFarm(context.Background(), ballista.WinNT,

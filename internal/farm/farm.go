@@ -2,9 +2,9 @@
 // parallel workers — the software analogue of the paper's bank of six
 // physical Windows test machines grinding through >2M cases for days.
 // The catalog is sharded one MuT campaign per shard, and the shards run
-// on sweep.Each, the index-ordered pool shared with the other sweep
-// engines: each worker takes the next shard in catalog order and runs it
-// on its own Executor, so a full sweep uses every core instead of one.
+// through sweep.Run, the skeleton shared with the other sweep engines:
+// each worker takes the next shard in catalog order and runs it on its
+// own Executor, so a full sweep uses every core instead of one.
 //
 // Two properties the paper's hardware could not offer:
 //
@@ -13,11 +13,13 @@
 //     schedule — results land in stable catalog order and per-shard
 //     reboot counts are summed.  Case generation is already seeded by
 //     MuT name alone, so a shard's outcome depends only on the shard.
-//   - Checkpoint/resume: with a journal configured, every completed
-//     shard is appended to a JSONL checkpoint.  A campaign killed
-//     mid-run (ballistad shutdown, operator Ctrl-C, the simulated
-//     equivalent of the paper's "system crash interrupts the testing
-//     process") resumes without re-running finished shards.
+//   - Checkpoint/resume: with a journal configured, completed shards are
+//     group-committed to the sweep journal, 64 to a write and fsync,
+//     under a header that fingerprints the OS, the cap and the shard
+//     list.  A campaign killed mid-run (ballistad shutdown, operator
+//     Ctrl-C, the simulated equivalent of the paper's "system crash
+//     interrupts the testing process") resumes without re-running the
+//     committed shards; a kill loses at most the 64 not yet committed.
 package farm
 
 import (
@@ -107,17 +109,19 @@ func (f *Farm) addQuarantine(q Quarantine) {
 	f.qmu.Unlock()
 	f.cfg.ChaosStats.AddQuarantined()
 	f.cfg.Spans.Instant("quarantine", q.MuT, q.Reason)
-	_, _ = f.cfg.Spans.Dump("quarantine")
+	f.cfg.Spans.Dump("quarantine") // a failure is kept for the recorder's Close
 }
 
 // Run executes the sharded campaign and merges per-worker results into
 // an OSResult identical to a sequential Runner.RunAll: results in stable
 // catalog order, CasesRun summed over executed cases, Reboots summed
-// over per-shard reboot epochs.  Cancelling ctx stops every worker at
-// its next test-case boundary; with a checkpoint configured the
-// campaign is resumable from the journal.  A failed checkpoint append
-// stops the pool handing out shards; the workers finish the shards in
-// flight, and Run returns the error of the lowest failing shard.
+// over per-shard reboot epochs.  The shards run through sweep.Run, so
+// with a checkpoint configured the campaign resumes from the journal and
+// group-commits its completed shards there.  Cancelling ctx stops every
+// worker at its next test-case boundary.  A failed shard or checkpoint
+// commit stops the pool handing out shards; the workers finish the
+// shards in flight, and Run returns the error of the lowest failing
+// shard.
 func (f *Farm) Run(ctx context.Context) (*core.OSResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -141,92 +145,65 @@ func (f *Farm) Run(ctx context.Context) (*core.OSResult, error) {
 	f.spanParent = cs.ID()
 
 	descs := shardDescs(f.cfg.OS, f.profile)
-	results := make([]*core.MuTResult, len(descs))
-	rebootsBy := make([]int, len(descs))
-
-	// Resume: restore finished shards from the journal, then keep it
-	// open for appending this run's completions.
-	var jnl *Journal
-	if f.cfg.Checkpoint != "" {
-		done, err := LoadJournal(f.cfg.Checkpoint, f.cfg.OS.WireName(), f.cfg.Cap, descs)
-		if err != nil {
-			return nil, err
-		}
-		for idx, sr := range done {
-			res, err := sr.Decode(f.cfg.OS, descs[idx])
-			if err != nil {
-				return nil, err
-			}
-			results[idx] = res
-			rebootsBy[idx] = sr.Reboots
-		}
-		jnl, err = OpenJournal(f.cfg.Checkpoint, "farm")
-		if err != nil {
-			return nil, err
-		}
-		jnl.SetChaos(hinj, f.cfg.ChaosStats)
-		defer jnl.Close()
-	}
-
-	var pending []int
-	for i, res := range results {
-		if res == nil {
-			pending = append(pending, i)
-		}
-	}
-
 	workers := f.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	// Worker w runs its shards on execs[w], booted on its first shard.
 	execs := make([]*Executor, workers)
-	err := sweep.Each(ctx, len(pending), workers, func(w, k int) error {
-		if execs[w] == nil {
-			execs[w] = &Executor{cfg: f.cfg, reg: f.reg, dispatch: f.dispatch, fixture: f.fixture}
-		}
-		d := descs[pending[k]]
-		shardStart := time.Now()
-		res, reboots, err := f.runShard(ctx, execs[w], w, d, hinj)
-		if err != nil {
-			return err
-		}
-		if res == nil {
-			// Persistent harness fault: surface the shard as Incomplete
-			// rather than retrying forever.  Left out of the journal so a
-			// later resume re-attempts it.
-			m, _ := lookupMuT(f.cfg.OS, d.MuT) // d comes from the OS's own catalog
-			results[d.Index] = &core.MuTResult{MuT: m, Wide: d.Wide, Incomplete: true}
-			return nil
-		}
-		results[d.Index], rebootsBy[d.Index] = res, reboots
-		if jnl != nil {
-			err := jnl.Append(f.cfg.OS.WireName(), f.cfg.Cap, d, EncodeShardResult(res, reboots), w, false)
-			if err != nil {
-				return fmt.Errorf("farm: checkpointing shard %d: %w", d.Index, err)
+	// One slab holds every shard's outcome, so a shard allocates none,
+	// and only a journal's header needs the campaign ID.
+	outs := make([]outcome, len(descs))
+	var id string
+	if f.cfg.Checkpoint != "" {
+		id = campaignID(f.cfg.OS.WireName(), f.cfg.Cap, descs)
+	}
+	shards, err := sweep.Run(ctx, sweep.Job[outcome]{
+		Kind: "farm", Unit: "shard", ID: id,
+		N: len(descs), Workers: workers, Checkpoint: f.cfg.Checkpoint, Chaos: hinj,
+		Eval: func(w, i int) (*outcome, error) {
+			if execs[w] == nil {
+				execs[w] = &Executor{cfg: f.cfg, reg: f.reg, dispatch: f.dispatch, fixture: f.fixture}
 			}
-		}
-		if f.cfg.Observer != nil {
-			f.cfg.Observer.Observe(&core.ShardEvent{
-				OS: f.cfg.OS.WireName(), Worker: w, Shard: d.Index,
-				MuT: d.MuT, Wide: d.Wide,
-				Cases: res.Executed(), Reboots: reboots,
-				Wall: time.Since(shardStart),
-			})
-		}
-		return nil
+			d := descs[i]
+			shardStart := time.Now()
+			res, reboots, err := f.runShard(ctx, execs[w], w, d, hinj)
+			if err != nil || res == nil {
+				return nil, err
+			}
+			if f.cfg.Observer != nil {
+				f.cfg.Observer.Observe(&core.ShardEvent{
+					OS: f.cfg.OS.WireName(), Worker: w, Shard: d.Index,
+					MuT: d.MuT, Wide: d.Wide,
+					Cases: res.Executed(), Reboots: reboots,
+					Wall: time.Since(shardStart),
+				})
+			}
+			outs[i] = outcome{res: res, reboots: reboots}
+			return &outs[i], nil
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	out := &core.OSResult{OS: f.profile.Name}
-	for _, res := range results {
-		out.Results = append(out.Results, res)
-		out.CasesRun += res.Executed()
-	}
-	for _, n := range rebootsBy {
-		out.Reboots += n
+	for i, s := range shards {
+		if s == nil {
+			// Persistent harness fault: surface the shard as Incomplete
+			// rather than retrying forever.  sweep.Run left it out of the
+			// journal, so a later resume re-attempts it.
+			s = &outcome{res: &core.MuTResult{Incomplete: true}}
+		}
+		if s.res.MuT.Name == "" {
+			// Incomplete, or restored from the journal: named by its
+			// descriptor, which comes from the OS's own catalog.
+			s.res.MuT, _ = lookupMuT(f.cfg.OS, descs[i].MuT)
+			s.res.Wide = descs[i].Wide
+		}
+		out.Results = append(out.Results, s.res)
+		out.CasesRun += s.res.Executed()
+		out.Reboots += s.reboots
 	}
 	if f.cfg.Observer != nil {
 		f.cfg.Observer.Observe(&core.CampaignEvent{

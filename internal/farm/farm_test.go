@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"ballista"
 	"ballista/internal/core"
+	"ballista/internal/farm"
 	"ballista/internal/report"
+	"ballista/internal/sweep"
 )
 
 const testCap = 300
@@ -181,45 +185,119 @@ func TestFarmCheckpointCompleteRerun(t *testing.T) {
 	sameOSResult(t, "replay vs fresh", fresh, replay)
 }
 
-// TestFarmCheckpointResumesV1Journal: testdata/v1-journal.jsonl was
-// written by the first journal implementation.  The same campaign
-// journaled today writes identical bytes, and resuming from the old
-// file executes no shard, leaves it unchanged, and merges the result a
-// fresh run does.
-func TestFarmCheckpointResumesV1Journal(t *testing.T) {
+// TestFarmCheckpointRefusesV1Journal: testdata/v1-journal.jsonl was
+// written by the farm's first journal, one self-describing record per
+// shard and no header.  The farm now journals through the sweep journal,
+// whose header names its kind, so resuming from the old file is refused
+// with an error that names the version it found: no shard runs, and the
+// file is left as it was.
+func TestFarmCheckpointRefusesV1Journal(t *testing.T) {
 	v1, err := os.ReadFile(filepath.Join("testdata", "v1-journal.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	run := func(ckpt string, opts ...ballista.Option) *core.OSResult {
-		t.Helper()
-		opts = append(opts, ballista.WithCap(1))
-		res, err := ballista.RunFarm(context.Background(), ballista.Linux,
-			ballista.FarmConfig{Workers: 1, Checkpoint: ckpt}, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	fresh := run(filepath.Join(dir, "fresh.jsonl"))
-	if got, _ := os.ReadFile(filepath.Join(dir, "fresh.jsonl")); !bytes.Equal(got, v1) {
-		t.Error("a fresh journal differs from the v1 journal of the same campaign")
-	}
-
-	ckpt := filepath.Join(dir, "v1.jsonl")
+	ckpt := filepath.Join(t.TempDir(), "v1.jsonl")
 	if err := os.WriteFile(ckpt, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	counter := &shardCounter{}
-	resumed := run(ckpt, ballista.WithObserver(counter))
+	_, err = ballista.RunFarm(context.Background(), ballista.Linux,
+		ballista.FarmConfig{Workers: 1, Checkpoint: ckpt},
+		ballista.WithCap(1), ballista.WithObserver(counter))
+	if err == nil {
+		t.Fatal("a v1 farm journal was resumed")
+	}
+	if !strings.Contains(err.Error(), "v1") {
+		t.Errorf("refusal %q does not name the journal's version", err)
+	}
 	if shards, _ := counter.counts(); shards != 0 {
-		t.Errorf("resuming from the v1 journal executed %d shards, want 0", shards)
+		t.Errorf("the refused campaign ran %d shards", shards)
 	}
 	if got, _ := os.ReadFile(ckpt); !bytes.Equal(got, v1) {
-		t.Error("resuming from the v1 journal changed it")
+		t.Error("refusing the v1 journal changed it")
 	}
-	sameOSResult(t, "v1 resume vs fresh", fresh, resumed)
+}
+
+// TestFarmResumeAtBatchBoundaries kills a one-worker farm at every
+// journal batch boundary — the journal then holds exactly the committed
+// batches — and once with a torn line after the first batch.  Each
+// resume runs only the shards the journal lacks and merges the
+// uninterrupted result.
+func TestFarmResumeAtBatchBoundaries(t *testing.T) {
+	const (
+		smallCap = 20
+		batch    = 64 // sweep.Run's group-commit size
+	)
+	ref := runFarm(t, 1, ballista.WithCap(smallCap))
+	full := filepath.Join(t.TempDir(), "full.jsonl")
+	if _, err := ballista.RunFarm(context.Background(), ballista.WinNT,
+		ballista.FarmConfig{Workers: 1, Checkpoint: full}, ballista.WithCap(smallCap)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	total := len(ref.Results)
+	if len(lines) != 1+total {
+		t.Fatalf("journal has %d lines, want header + %d", len(lines), total)
+	}
+	type cut struct {
+		committed int
+		torn      bool
+	}
+	cuts := []cut{{batch, true}, {total, false}}
+	for c := 0; c < total; c += batch {
+		cuts = append(cuts, cut{c, false})
+	}
+	for _, c := range cuts {
+		name := fmt.Sprintf("%d committed, torn=%v", c.committed, c.torn)
+		t.Run(name, func(t *testing.T) {
+			kept := strings.Join(lines[:1+c.committed], "\n") + "\n"
+			if c.torn {
+				next := lines[1+c.committed]
+				kept += next[:len(next)/2]
+			}
+			path := filepath.Join(t.TempDir(), "killed.jsonl")
+			if err := os.WriteFile(path, []byte(kept), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			counter := &shardCounter{}
+			res, err := ballista.RunFarm(context.Background(), ballista.WinNT,
+				ballista.FarmConfig{Workers: 2, Checkpoint: path},
+				ballista.WithCap(smallCap), ballista.WithObserver(counter))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shards, _ := counter.counts(); shards != total-c.committed {
+				t.Errorf("resume ran %d shards, want the %d not committed", shards, total-c.committed)
+			}
+			sameOSResult(t, "resumed vs uninterrupted", ref, res)
+		})
+	}
+}
+
+// journaled counts the shards a farm journal holds, reading it back
+// through the sweep journal the farm writes it with.
+func journaled(t *testing.T, ckpt string, o ballista.OS, cap int) int {
+	t.Helper()
+	descs := farm.ShardDescs(o)
+	done := make([]*farm.ShardResult, len(descs))
+	jnl, err := sweep.OpenJournal(ckpt, "farm", farm.CampaignID(o.WireName(), cap, descs), done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, sr := range done {
+		if sr != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestFarmCheckpointMismatch: resuming a journal against a different

@@ -2,7 +2,9 @@ package farm
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"strings"
 	"sync"
@@ -44,9 +46,9 @@ func shardDescs(o osprofile.OS, profile *osprofile.Profile) []ShardDesc {
 
 // ShardResult is a completed shard's outcome in wire/journal form.
 // Classes and Exceptional pack one character per test case ('0'-'5'
-// CRASH class digits, '0'/'1' flags) so a 5000-case shard is one short
-// line, not 5000 JSON numbers — the same packing the checkpoint journal
-// has always used.
+// CRASH class digits, '0'/'1' flags, see core.PackClasses) so a
+// 5000-case shard is one short line, not 5000 JSON numbers.  The packed
+// form is shared with the content-addressed result store.
 type ShardResult struct {
 	Classes     string `json:"classes"`
 	Exceptional string `json:"exceptional"`
@@ -58,8 +60,8 @@ type ShardResult struct {
 // of its machine epoch.
 func EncodeShardResult(res *core.MuTResult, reboots int) ShardResult {
 	return ShardResult{
-		Classes:     encodeClasses(res.Cases),
-		Exceptional: encodeFlags(res.Exceptional),
+		Classes:     core.PackClasses(res.Cases),
+		Exceptional: core.PackFlags(res.Exceptional),
 		Incomplete:  res.Incomplete,
 		Reboots:     reboots,
 	}
@@ -72,21 +74,69 @@ func (sr ShardResult) Decode(o osprofile.OS, d ShardDesc) (*core.MuTResult, erro
 	if !ok {
 		return nil, fmt.Errorf("farm: shard %d: %q is not tested on %s", d.Index, d.MuT, o)
 	}
-	classes, err := decodeClasses(sr.Classes)
+	res, err := sr.unpack()
 	if err != nil {
 		return nil, fmt.Errorf("farm: shard %d: %w", d.Index, err)
 	}
+	res.MuT, res.Wide = m, d.Wide
+	return res, nil
+}
+
+// unpack validates and unpacks the packed strings into a result that
+// does not yet name its MuT.
+func (sr ShardResult) unpack() (*core.MuTResult, error) {
+	classes, err := core.UnpackClasses(sr.Classes)
+	if err != nil {
+		return nil, err
+	}
 	if len(sr.Exceptional) != len(sr.Classes) {
-		return nil, fmt.Errorf("farm: shard %d has %d classes but %d exceptional flags",
-			d.Index, len(sr.Classes), len(sr.Exceptional))
+		return nil, fmt.Errorf("%d classes but %d exceptional flags", len(sr.Classes), len(sr.Exceptional))
 	}
 	return &core.MuTResult{
-		MuT:         m,
-		Wide:        d.Wide,
 		Cases:       classes,
-		Exceptional: decodeFlags(sr.Exceptional),
+		Exceptional: core.UnpackFlags(sr.Exceptional),
 		Incomplete:  sr.Incomplete,
 	}, nil
+}
+
+// outcome is one completed shard in the farm's sweep: its result and
+// the reboot count of its machine epoch.  Its journal form is its
+// ShardResult, packed only when it is marshalled, so a campaign without
+// a checkpoint never packs a shard.  A restored outcome is unpacked and
+// validated as the journal is replayed (a record that fails is refused)
+// and names no MuT; Run names it from its descriptor.
+type outcome struct {
+	res     *core.MuTResult
+	reboots int
+}
+
+func (o *outcome) MarshalJSON() ([]byte, error) {
+	return json.Marshal(EncodeShardResult(o.res, o.reboots))
+}
+
+func (o *outcome) UnmarshalJSON(data []byte) error {
+	var sr ShardResult
+	if err := json.Unmarshal(data, &sr); err != nil {
+		return err
+	}
+	res, err := sr.unpack()
+	if err != nil {
+		return err
+	}
+	o.res, o.reboots = res, sr.Reboots
+	return nil
+}
+
+// campaignID fingerprints a farm campaign for its journal header: the OS,
+// the cap and the shard list.  A journal written for any other campaign
+// carries another ID and is refused.
+func campaignID(osName string, cap int, descs []ShardDesc) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%d", osName, cap)
+	for _, d := range descs {
+		fmt.Fprintf(h, "|%d,%s,%t", d.Index, d.MuT, d.Wide)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // MergeShardResults reassembles the deterministic OSResult a farm (or

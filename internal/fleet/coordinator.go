@@ -12,6 +12,7 @@ import (
 	"ballista/internal/explore"
 	"ballista/internal/farm"
 	"ballista/internal/osprofile"
+	"ballista/internal/sweep"
 	"ballista/internal/telemetry"
 	"ballista/internal/telemetry/span"
 	"ballista/internal/version"
@@ -29,9 +30,11 @@ type Config struct {
 	TTL time.Duration
 	// Heartbeat is the interval suggested to workers (default TTL/3).
 	Heartbeat time.Duration
-	// Journal is the lease-journal path ("farm" kind): completed shards
-	// are fsync'd there before acknowledgement, and a restarted
-	// coordinator resumes from it.  Empty disables persistence.
+	// Journal is the shard-journal path ("farm" kind): a sweep.Journal
+	// of kind "farm" whose header carries the campaign ID.  Each uploaded
+	// shard is appended and fsync'd on its own before it is
+	// acknowledged, and a restarted coordinator resumes from it.  Empty
+	// disables persistence.
 	Journal string
 	// Chaos/ChaosStats arm harness-domain faults on journal writes
 	// (site "fleet"), same as the farm's checkpoint machinery.
@@ -69,7 +72,7 @@ type unit struct {
 }
 
 // Coordinator owns one distributed campaign: the lease table, the
-// result set, the worker roster and the lease journal.
+// result set, the worker roster and the shard journal.
 type Coordinator struct {
 	cfg  Config
 	id   string
@@ -82,9 +85,9 @@ type Coordinator struct {
 	queue    []unitKey
 	versions uint64
 
-	workers   map[string]time.Time // name -> last seen
-	workerSeq map[string]int       // name -> journal worker id
-	nameSeq   int
+	workers map[string]time.Time // name -> last seen
+	seen    map[string]bool      // every worker name ever seen
+	nameSeq int
 
 	farmDone int
 	nextGen  int
@@ -92,7 +95,7 @@ type Coordinator struct {
 	genSize  map[int]int // unit count per explore gen
 	finished bool
 
-	jnl *farm.Journal
+	jnl *sweep.Journal[farm.ShardResult]
 
 	handlerOnce sync.Once
 	handler     http.Handler
@@ -120,14 +123,14 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.Heartbeat = cfg.TTL / 3
 	}
 	c := &Coordinator{
-		cfg:       cfg,
-		units:     make(map[unitKey]*unit),
-		workers:   make(map[string]time.Time),
-		workerSeq: make(map[string]int),
-		nextGen:   1,
-		genOpen:   make(map[int]int),
-		genSize:   make(map[int]int),
-		now:       time.Now,
+		cfg:     cfg,
+		units:   make(map[unitKey]*unit),
+		workers: make(map[string]time.Time),
+		seen:    make(map[string]bool),
+		nextGen: 1,
+		genOpen: make(map[int]int),
+		genSize: make(map[int]int),
+		now:     time.Now,
 	}
 	c.cond = sync.NewCond(&c.mu)
 
@@ -167,33 +170,38 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // initFarm builds the generation-0 unit table, restoring completed
-// shards from the lease journal.
+// shards from the shard journal.  A restored shard is validated against
+// its descriptor as an upload is.
 func (c *Coordinator) initFarm() error {
-	var restored map[int]farm.ShardResult
+	restored := make([]*farm.ShardResult, len(c.desc))
 	if c.cfg.Journal != "" {
-		var err error
-		restored, err = farm.LoadJournal(c.cfg.Journal, c.cfg.Spec.OS, c.cfg.Spec.Cap, c.desc)
+		jnl, err := sweep.OpenJournal(c.cfg.Journal, KindFarm, c.id, restored)
 		if err != nil {
 			return err
 		}
-		jnl, err := farm.OpenJournal(c.cfg.Journal, "fleet")
-		if err != nil {
-			return err
+		for i, sr := range restored {
+			if sr == nil {
+				continue
+			}
+			if _, err := sr.Decode(c.os, c.desc[i]); err != nil {
+				jnl.Close()
+				return fmt.Errorf("fleet: journal %s: %w", c.cfg.Journal, err)
+			}
 		}
+		var inj *chaos.Injector
 		if c.cfg.Chaos != nil {
-			jnl.SetChaos(c.cfg.Chaos.NewInjector(c.cfg.ChaosStats), c.cfg.ChaosStats)
-		} else {
-			jnl.SetChaos(nil, c.cfg.ChaosStats)
+			inj = c.cfg.Chaos.NewInjector(c.cfg.ChaosStats)
 		}
+		jnl.Arm(inj, c.cfg.ChaosStats, "fleet")
 		c.jnl = jnl
 	}
 	for i := range c.desc {
 		d := c.desc[i]
 		u := &unit{shard: &d}
-		if sr, ok := restored[i]; ok {
+		if sr := restored[i]; sr != nil {
 			u.done = true
-			u.shardRes = sr
-			u.hash = PayloadHash(sr)
+			u.shardRes = *sr
+			u.hash = PayloadHash(*sr)
 			c.farmDone++
 		} else {
 			c.queue = append(c.queue, unitKey{0, i})
@@ -211,7 +219,7 @@ func (c *Coordinator) ID() string { return c.id }
 // Spec returns the normalized campaign spec.
 func (c *Coordinator) Spec() CampaignSpec { return c.cfg.Spec }
 
-// Close releases the lease journal.  The lease table stays readable.
+// Close releases the shard journal.  The lease table stays readable.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	jnl := c.jnl
@@ -237,9 +245,7 @@ func (c *Coordinator) emit(evs ...core.FleetEvent) {
 // silent for several TTLs.  Returns the live-worker gauge.
 func (c *Coordinator) markSeenLocked(worker string, now time.Time) int {
 	if worker != "" {
-		if _, ok := c.workerSeq[worker]; !ok {
-			c.workerSeq[worker] = len(c.workerSeq)
-		}
+		c.seen[worker] = true
 		c.workers[worker] = now
 	}
 	for w, seen := range c.workers {
@@ -416,9 +422,7 @@ func (c *Coordinator) Upload(req UploadRequest) (*UploadResponse, error) {
 		// Journal before acknowledging: an acknowledged shard must
 		// survive a coordinator kill, or resume would re-run it.
 		if c.jnl != nil {
-			seq := c.workerSeq[req.Worker]
-			stolen := u.grants > 1
-			if err := c.jnl.Append(c.cfg.Spec.OS, c.cfg.Spec.Cap, *u.shard, *req.Shard, seq, stolen); err != nil {
+			if err := c.jnl.Append(req.Task, req.Shard); err != nil {
 				c.mu.Unlock()
 				return nil, fmt.Errorf("fleet: journaling shard %d: %w", req.Task, err)
 			}
@@ -504,7 +508,7 @@ func (c *Coordinator) Status() *StatusResponse {
 func (c *Coordinator) WorkersSeen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.workerSeq)
+	return len(c.seen)
 }
 
 // Wait blocks until every farm shard is collected, then merges the

@@ -20,9 +20,10 @@
 //     ("duplicate"), a different hash is a conflict — at-least-once
 //     execution plus deterministic units makes collection exactly-once
 //     in effect.
-//   - The farm's fsync'd lease journal.  Completed farm shards are
-//     journaled before they are acknowledged, so a coordinator killed
-//     mid-campaign resumes from the journal without re-running them.
+//   - The sweep journal, one fsync per upload.  Completed farm shards
+//     are journaled before they are acknowledged, so a coordinator
+//     killed mid-campaign resumes from the journal without re-running
+//     them.
 //
 // Two campaign kinds share the fabric: "farm" distributes the MuT
 // shard catalog (internal/farm), "explore" evaluates the sequence

@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,9 +17,11 @@ import (
 	"ballista/internal/chaos"
 	"ballista/internal/core"
 	"ballista/internal/explore"
+	"ballista/internal/farm"
 	"ballista/internal/fleet"
 	"ballista/internal/osprofile"
 	"ballista/internal/report"
+	"ballista/internal/sweep"
 )
 
 const fleetCap = 60
@@ -164,7 +169,7 @@ func TestFleetMatchesFarmUnderChaos(t *testing.T) {
 
 // TestFleetCoordinatorResume kills the coordinator mid-campaign (after
 // a handful of journaled shards) and starts a fresh one on the same
-// lease journal: the completed shards are not re-leased, and the final
+// shard journal: the completed shards are not re-leased, and the final
 // report is byte-identical to the sequential farm run.
 func TestFleetCoordinatorResume(t *testing.T) {
 	baseline := csvBytes(t, farmBaseline(t))
@@ -238,6 +243,111 @@ func TestFleetCoordinatorResume(t *testing.T) {
 	}
 	if got := csvBytes(t, res); !bytes.Equal(got, baseline) {
 		t.Error("resumed fleet CSV differs from sequential farm CSV")
+	}
+}
+
+// TestFleetCoordinatorResumeEveryRecord kills the coordinator after
+// every journal record: a coordinator that restarts on the journal cut
+// after k records restores exactly those k shards, acknowledges a
+// re-upload of one of them as a duplicate, accepts the rest, and merges
+// the uninterrupted result byte for byte.
+func TestFleetCoordinatorResumeEveryRecord(t *testing.T) {
+	baseline := csvBytes(t, farmBaseline(t))
+	spec := fleet.CampaignSpec{Kind: fleet.KindFarm, OS: "winnt", Cap: fleetCap}
+	dir := t.TempDir()
+	full := dir + "/full.ckpt"
+	coord, err := fleet.New(fleet.Config{Spec: spec, Journal: full})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord.Handler())
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	werr := make(chan error, 1)
+	go func() {
+		werr <- fleet.RunWorker(ctx, fleet.WorkerConfig{
+			Client: fleet.ClientConfig{BaseURL: ts.URL}, Name: "w", Env: ballista.FleetEnv(), Slots: 2,
+		})
+	}()
+	if _, err := coord.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-werr; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	ts.Close()
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	descs := farm.ShardDescs(osprofile.WinNT)
+	if len(lines) != 1+len(descs) {
+		t.Fatalf("journal has %d lines, want header + %d", len(lines), len(descs))
+	}
+	shards := make([]*farm.ShardResult, len(descs))
+	jnl, err := sweep.OpenJournal(full, fleet.KindFarm, coord.ID(), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl.Close()
+	var order []int // shard indices in journal order
+	for _, line := range lines[1:] {
+		var rec struct {
+			I int `json:"i"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		order = append(order, rec.I)
+	}
+
+	for k := 0; k <= len(order); k++ {
+		path := fmt.Sprintf("%s/cut-%d.ckpt", dir, k)
+		if err := os.WriteFile(path, []byte(strings.Join(lines[:1+k], "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := fleet.New(fleet.Config{Spec: spec, Journal: path})
+		if err != nil {
+			t.Fatalf("cut after %d records: %v", k, err)
+		}
+		if done := c.Status().Done; done != k {
+			t.Errorf("cut after %d records: %d shards restored", k, done)
+		}
+		upload := func(i int) string {
+			resp, err := c.Upload(fleet.UploadRequest{
+				Campaign: c.ID(), Worker: "w", Task: i,
+				Hash: fleet.PayloadHash(*shards[i]), Shard: shards[i],
+			})
+			if err != nil {
+				t.Fatalf("cut after %d records: uploading shard %d: %v", k, i, err)
+			}
+			return resp.Status
+		}
+		if k > 0 {
+			if st := upload(order[k-1]); st != "duplicate" {
+				t.Errorf("cut after %d records: re-upload of restored shard %d was %q", k, order[k-1], st)
+			}
+		}
+		for _, i := range order[k:] {
+			if st := upload(i); st != "accepted" {
+				t.Errorf("cut after %d records: upload of shard %d was %q", k, i, st)
+			}
+		}
+		res, err := c.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := csvBytes(t, res); !bytes.Equal(got, baseline) {
+			t.Fatalf("cut after %d records: resumed fleet CSV differs from sequential farm CSV", k)
+		}
 	}
 }
 

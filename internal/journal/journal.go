@@ -1,15 +1,18 @@
 // Package journal is the durable JSONL append log behind every
-// checkpoint in the repository: the farm and fleet-coordinator shard
-// journal, the explore corpus journal, the crashsim and scarce sweep
-// journals, the result store's segment and the service's campaign queue.
+// checkpoint in the repository: the sweep journal (internal/sweep) that
+// the crashsim, scarce and farm sweeps and the fleet coordinator write,
+// the explore corpus journal, the result store's segment and the
+// service's campaign queue.
 //
 // The contract: every record is one line, fsynced before Append or
 // AppendBatch returns.  Append commits one record, so a kill at any
-// instant loses at most the record in flight; the farm, fleet, explore,
-// store and service journals use it.  AppendBatch commits a batch of
-// records with one write and one fsync, and internal/sweep group-commits
-// the crashsim and scarce sweep journals through it: a kill there loses
-// at most the batch not yet committed, whose items a resume re-evaluates.
+// instant loses at most the record in flight; the fleet coordinator
+// (through sweep.Journal.Append, before it acknowledges an upload), the
+// explore, store and service journals use it.  AppendBatch commits a
+// batch of records with one write and one fsync, and sweep.Run
+// group-commits the crashsim, scarce and farm journals through it: a
+// kill there loses at most the batch not yet committed, whose items a
+// resume re-evaluates.
 // A torn line — a write cut short by a crash, an I/O error or an
 // injected fault — is always newline-terminated, by the writer when the
 // write fails and by Open when a crash left it at the tail, so the next

@@ -144,12 +144,12 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 		Kind: "scarcesweep", Unit: "item",
 		ID: sweepID(cfg, envs, oses, len(items)),
 		N:  len(items), Workers: cfg.Workers, Checkpoint: cfg.Checkpoint,
-		Eval: func(i int) *itemResult {
+		Eval: func(_, i int) (*itemResult, error) {
 			it := items[i]
 			is := cfg.Spans.StartSampled("scarceitem",
 				fmt.Sprintf("%s %s env=%s", it.m.API, it.m.Name, it.env.Name)).SetParent(parent.ID())
 			defer is.End()
-			return evalItem(cfg.Deps, it.env, it.m, it.oses, cfg.Seed)
+			return evalItem(cfg.Deps, it.env, it.m, it.oses, cfg.Seed), nil
 		},
 	})
 	if err != nil {

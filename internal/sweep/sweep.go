@@ -1,15 +1,17 @@
 // Package sweep is the skeleton shared by the checkpointed sweep
-// engines (crashsim, scarce): resume from the journal, evaluate what is
-// left on an index-ordered worker pool, group-commit the results to the
-// journal, and hand them back in enumeration order, then dedupe,
-// minimize and re-dedupe the findings.  Engines keep only their
-// enumeration, evaluation and report.  Each, the pool itself, also runs
-// explore's candidate batches and the farm's shards.
+// engines (crashsim, scarce, the farm): resume from the journal,
+// evaluate what is left on an index-ordered worker pool, group-commit
+// the results to the journal, and hand them back in enumeration order,
+// then dedupe, minimize and re-dedupe the findings.  Engines keep only
+// their enumeration, evaluation and report.  Each, the pool itself, also
+// runs explore's candidate batches.  Journal, the checkpoint format, is
+// also the fleet coordinator's shard journal.
 package sweep
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -34,13 +36,20 @@ type Job[T any] struct {
 	Workers int
 	// Checkpoint is the journal path; empty runs without one.
 	Checkpoint string
-	// Eval evaluates item i.  It must be pure: results may come from a
-	// journal written by an earlier run with any worker count.
-	Eval func(i int) *T
+	// Eval evaluates item i on worker w, in [0, Workers): no two calls
+	// with the same w are in flight at once, so a caller can keep
+	// per-worker state indexed by w.  Its result must be pure: results
+	// may come from a journal written by an earlier run with any worker
+	// count.  An error stops the sweep; a nil result with a nil error is
+	// returned as nil and not journaled, so a resume evaluates it again.
+	Eval func(w, i int) (*T, error)
 	// Chaos, when non-nil, injects ckpt.write faults into the journal's
-	// appends at site Kind.
+	// appends at site Kind, and its Stats count the retries.
 	Chaos *chaos.Injector
 }
+
+// journalVersion is the header's format version.
+const journalVersion = 1
 
 // header is the journal's first line: the sweep identity.
 type header struct {
@@ -68,19 +77,20 @@ const batchSize = 64
 // worker count and across a kill and resume, because Eval is pure and
 // the merge is by index.  With a journal, results are group-committed
 // batchSize at a time, in the order they complete, and every exit path —
-// the end of the run, a cancelled ctx, a failed commit — commits what was
-// evaluated before Run returns.  A commit that fails after its retries
-// fails the sweep.
+// the end of the run, a cancelled ctx, a failed Eval or commit — commits
+// what was evaluated before Run returns.  A commit that fails after its
+// retries fails the sweep.
 func Run[T any](ctx context.Context, job Job[T]) ([]*T, error) {
 	results := make([]*T, job.N)
-	var b *batcher[T]
+	var jnl *Journal[T]
 	if job.Checkpoint != "" {
-		jnl, err := job.resume(results)
-		if err != nil {
+		var err error
+		if jnl, err = OpenJournal(job.Checkpoint, job.Kind, job.ID, results); err != nil {
 			return nil, err
 		}
 		defer jnl.Close()
-		b = &batcher[T]{job: &job, jnl: jnl}
+		jnl.unit = job.Unit
+		jnl.Arm(job.Chaos, job.Chaos.Stats(), job.Kind)
 	}
 	var todo []int
 	for i, r := range results {
@@ -88,16 +98,20 @@ func Run[T any](ctx context.Context, job Job[T]) ([]*T, error) {
 			todo = append(todo, i)
 		}
 	}
-	err := Each(ctx, len(todo), job.Workers, func(_, k int) error {
+	err := Each(ctx, len(todo), job.Workers, func(w, k int) error {
 		i := todo[k]
-		results[i] = job.Eval(i)
-		if b == nil {
+		r, err := job.Eval(w, i)
+		if err != nil || r == nil {
+			return err
+		}
+		results[i] = r
+		if jnl == nil {
 			return nil
 		}
-		return b.add(record[T]{I: i, R: results[i]})
+		return jnl.add(i, r)
 	})
-	if b != nil {
-		if ferr := b.commit(); err == nil {
+	if jnl != nil {
+		if ferr := jnl.commit(); err == nil {
 			err = ferr
 		}
 	}
@@ -107,89 +121,122 @@ func Run[T any](ctx context.Context, job Job[T]) ([]*T, error) {
 	return results, nil
 }
 
-// batcher group-commits a sweep's journal records in completion order.
-// The worker whose record fills the batch commits it with the lock
-// held, so batches reach the file whole and in order.
-type batcher[T any] struct {
-	job     *Job[T]
-	jnl     *journal.Journal
-	mu      sync.Mutex // guards pending and orders the commits
+// Journal is a sweep's checkpoint: a JSONL file whose header names the
+// sweep's kind and identity, followed by one {"i":index,"r":result}
+// record per evaluated item.  Run group-commits records batchSize at a
+// time; Append commits one, for a caller that must not acknowledge a
+// result before it is durable (the fleet coordinator).
+type Journal[T any] struct {
+	kind string
+	unit string // what one item is called in errors
+	j    *journal.Journal
+
+	mu      sync.Mutex // guards pending and orders the batch commits
 	pending []any      // record[T] values
 }
 
-// add appends rec to the pending batch and commits the batch once it
-// holds batchSize records.
-func (b *batcher[T]) add(rec record[T]) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.pending = append(b.pending, rec)
-	if len(b.pending) < batchSize {
-		return nil
-	}
-	return b.commitLocked()
-}
-
-// commit commits whatever is pending.
-func (b *batcher[T]) commit() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.commitLocked()
-}
-
-// commitLocked makes the pending batch durable with one journal write
-// and empties it, committed or not: a failed batch fails the sweep, and
-// its items are re-evaluated on resume.
-func (b *batcher[T]) commitLocked() error {
-	batch := b.pending
-	if len(batch) == 0 {
-		return nil
-	}
-	b.pending = b.pending[:0]
-	if err := b.jnl.AppendBatch(batch); err != nil {
-		return fmt.Errorf("%s: checkpointing %s %d (a batch of %d): %w",
-			b.job.Kind, b.job.Unit, batch[0].(record[T]).I, len(batch), err)
-	}
-	return nil
-}
-
-// resume fills results from the journal at job.Checkpoint and opens it
-// for appending.  A header naming another kind or sweep is an error, not
-// a silent restart; a torn or unparseable record is skipped and its item
-// simply re-runs.
-func (job Job[T]) resume(results []*T) (*journal.Journal, error) {
-	path := job.Checkpoint
+// OpenJournal replays the journal at path into results, one slot per
+// item, and opens it for appending; a missing or empty file is a fresh
+// journal and gets the header.  A header of another format version,
+// kind or id is an error that names what it found, not a silent
+// restart.  A line that is not JSON is a torn write: it is skipped and
+// its item re-runs.  A record that is JSON but does not decode into a T,
+// or names no item, is corruption and an error.  A repeated record
+// keeps the last.
+func OpenJournal[T any](path, kind, id string, results []*T) (*Journal[T], error) {
 	sawHeader := false
 	err := journal.Replay(path, func(line []byte) error {
 		if !sawHeader {
 			sawHeader = true
 			var h header
 			if err := json.Unmarshal(line, &h); err != nil {
-				return fmt.Errorf("%s: checkpoint %s: unreadable header: %w", job.Kind, path, err)
+				return fmt.Errorf("%s: checkpoint %s: unreadable header: %w", kind, path, err)
 			}
-			if h.Kind != job.Kind || h.V != 1 {
-				return fmt.Errorf("%s: checkpoint %s is not a %s journal", job.Kind, path, job.Kind)
+			if h.Kind != kind || h.V != journalVersion {
+				return fmt.Errorf("%s: checkpoint %s is a v%d journal of kind %q; this build reads v%d %q journals",
+					kind, path, h.V, h.Kind, journalVersion, kind)
 			}
-			if h.ID != job.ID {
-				return fmt.Errorf("%s: checkpoint %s belongs to a different sweep (id %s, want %s)", job.Kind, path, h.ID, job.ID)
+			if h.ID != id {
+				return fmt.Errorf("%s: checkpoint %s belongs to a different sweep (id %s, want %s)", kind, path, h.ID, id)
 			}
 			return nil
 		}
 		var rec record[T]
-		if json.Unmarshal(line, &rec) == nil && rec.R != nil && rec.I >= 0 && rec.I < len(results) {
-			results[rec.I] = rec.R
+		err := json.Unmarshal(line, &rec)
+		var torn *json.SyntaxError
+		switch {
+		case errors.As(err, &torn):
+			return nil
+		case err != nil:
+			return fmt.Errorf("%s: checkpoint %s: bad record: %w", kind, path, err)
+		case rec.R == nil || rec.I < 0 || rec.I >= len(results):
+			return fmt.Errorf("%s: checkpoint %s: record for item %d of %d", kind, path, rec.I, len(results))
 		}
+		results[rec.I] = rec.R
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	jnl, err := journal.Open(path, header{V: 1, Kind: job.Kind, ID: job.ID})
+	j, err := journal.Open(path, header{V: journalVersion, Kind: kind, ID: id})
 	if err != nil {
 		return nil, err
 	}
-	jnl.Arm(job.Chaos, nil, job.Kind)
-	return jnl, nil
+	return &Journal[T]{kind: kind, unit: "item", j: j}, nil
 }
+
+// Arm sets up ckpt.write fault injection at site for every commit, with
+// retries counted into stats; either may be nil.
+func (j *Journal[T]) Arm(inj *chaos.Injector, stats *chaos.Stats, site string) {
+	j.j.Arm(inj, stats, site)
+}
+
+// Append journals item i's result r on its own: it is durable when
+// Append returns nil.
+func (j *Journal[T]) Append(i int, r *T) error {
+	return j.j.Append(record[T]{I: i, R: r})
+}
+
+// add appends item i's result to the pending batch and commits the
+// batch once it holds batchSize records.  The caller whose record fills
+// the batch commits it with the lock held, so batches reach the file
+// whole and in order.
+func (j *Journal[T]) add(i int, r *T) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.pending = append(j.pending, record[T]{I: i, R: r})
+	if len(j.pending) < batchSize {
+		return nil
+	}
+	return j.commitLocked()
+}
+
+// commit commits whatever is pending.
+func (j *Journal[T]) commit() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.commitLocked()
+}
+
+// commitLocked makes the pending batch durable with one journal write
+// and empties it, committed or not: a failed batch fails the sweep, and
+// its items are re-evaluated on resume.
+func (j *Journal[T]) commitLocked() error {
+	batch := j.pending
+	if len(batch) == 0 {
+		return nil
+	}
+	j.pending = j.pending[:0]
+	if err := j.j.AppendBatch(batch); err != nil {
+		return fmt.Errorf("%s: checkpointing %s %d (a batch of %d): %w",
+			j.kind, j.unit, batch[0].(record[T]).I, len(batch), err)
+	}
+	return nil
+}
+
+// Close closes the file.  Records not yet committed are not written:
+// Run commits them first.
+func (j *Journal[T]) Close() error { return j.j.Close() }
 
 // Each calls fn(w, i) for every i in [0, n) on up to workers goroutines
 // (values below 1 mean 1), handing out indices in increasing order.  w

@@ -29,9 +29,9 @@ func squares(path string, evals *atomic.Int64) Job[square] {
 	return Job[square]{
 		Kind: "testsweep", Unit: "item", ID: "0000000000000001",
 		N: squaresN, Workers: 4, Checkpoint: path,
-		Eval: func(i int) *square {
+		Eval: func(_, i int) (*square, error) {
 			evals.Add(1)
-			return &square{V: i * i}
+			return &square{V: i * i}, nil
 		},
 	}
 }
@@ -222,14 +222,14 @@ func TestRunCancelCommitsEvaluated(t *testing.T) {
 	)
 	job := squares(path, new(atomic.Int64))
 	eval := job.Eval
-	job.Eval = func(i int) *square {
+	job.Eval = func(w, i int) (*square, error) {
 		mu.Lock()
 		evaluated[i] = true
 		if len(evaluated) == batchSize+batchSize/2 {
 			cancel()
 		}
 		mu.Unlock()
-		return eval(i)
+		return eval(w, i)
 	}
 	if _, err := Run(ctx, job); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Run returned %v, want context.Canceled", err)

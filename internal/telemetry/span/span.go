@@ -22,6 +22,7 @@
 package span
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -126,7 +127,8 @@ type Recorder struct {
 	sink    *json.Encoder
 	sinkBuf interface{ Flush() error }
 	sinkC   io.Closer
-	sinkErr error
+	sinkErr error // the first sink write error; it stops the sink
+	dumpErr error // the first failed Dump; the sink keeps going
 
 	dumps   int
 	dumpSeq int
@@ -444,17 +446,18 @@ func (r *Recorder) PhaseStats() map[string]PhaseStat {
 	return out
 }
 
-// Err returns the first sink write error, if any.
+// Err returns the first sink write error, else the first failed Dump's
+// error, if any.
 func (r *Recorder) Err() error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.sinkErr
+	return cmp.Or(r.sinkErr, r.dumpErr)
 }
 
-// Flush drains the JSONL sink buffer.
+// Flush drains the JSONL sink buffer and returns Err.
 func (r *Recorder) Flush() error {
 	if r == nil {
 		return nil
@@ -466,21 +469,22 @@ func (r *Recorder) Flush() error {
 			r.sinkErr = err
 		}
 	}
-	return r.sinkErr
+	return cmp.Or(r.sinkErr, r.dumpErr)
 }
 
-// Close flushes and closes the sink when it is closable.
+// Close flushes and closes the sink when it is closable, and returns
+// Err: a failed Dump is reported here, not dropped.
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
 	}
-	if err := r.Flush(); err != nil {
-		return err
-	}
+	err := r.Flush()
 	if r.sinkC != nil {
-		return r.sinkC.Close()
+		if cerr := r.sinkC.Close(); err == nil {
+			err = cerr
+		}
 	}
-	return nil
+	return err
 }
 
 // FlightDump is the crash artifact Dump writes: why the harness
@@ -496,8 +500,22 @@ type FlightDump struct {
 
 // Dump writes the last FlightSpans records as flight-NNN-<reason>.json
 // under FlightDir and returns the path.  Without a FlightDir (or past
-// MaxDumps) it is a silent no-op returning "".
+// MaxDumps) it is a silent no-op returning "".  The first failed dump's
+// error is also kept for Err and Close, so a caller with no way to
+// handle it (a watchdog, a panic quarantine) does not lose it.
 func (r *Recorder) Dump(reason string) (string, error) {
+	path, err := r.dump(reason)
+	if err != nil {
+		r.mu.Lock()
+		if r.dumpErr == nil {
+			r.dumpErr = fmt.Errorf("span: flight dump %q: %w", reason, err)
+		}
+		r.mu.Unlock()
+	}
+	return path, err
+}
+
+func (r *Recorder) dump(reason string) (string, error) {
 	if r == nil || r.opts.FlightDir == "" {
 		return "", nil
 	}

@@ -172,6 +172,34 @@ func TestPhaseStats(t *testing.T) {
 	}
 }
 
+// TestFlightDumpFailureIsReported: a dump that cannot be written (its
+// FlightDir is a regular file) fails, and the recorder keeps the first
+// failure for Err and Close, so a caller that cannot act on it does not
+// lose it.  The sink keeps recording after it.
+func TestFlightDumpFailureIsReported(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sink bytes.Buffer
+	r := New(Options{FlightDir: dir, Sink: &sink})
+	r.Start("case", "a").End()
+	if _, err := r.Dump("watchdog"); err == nil {
+		t.Fatal("dump into a regular file succeeded")
+	}
+	if _, err := r.Dump("quarantine"); err == nil {
+		t.Fatal("second dump into a regular file succeeded")
+	}
+	r.Start("case", "b").End()
+	err := r.Close()
+	if err == nil || !strings.Contains(err.Error(), `"watchdog"`) {
+		t.Fatalf("Close returned %v, want the first dump failure", err)
+	}
+	if n := strings.Count(sink.String(), "\n"); n != 2 {
+		t.Errorf("sink holds %d spans, want both", n)
+	}
+}
+
 func TestFlightDump(t *testing.T) {
 	dir := t.TempDir()
 	r := New(Options{Ring: 16, FlightDir: dir, FlightSpans: 2, MaxDumps: 2})
